@@ -69,7 +69,7 @@ BENCHMARK(BM_ReduceScatter)
     ->ArgsProduct({{2, 4, 16}, {1024, 16384, 131072}})
     ->Unit(benchmark::kMicrosecond);
 
-void BM_Allgather(benchmark::State& state) {
+void BM_Allgatherv(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
   const auto words = static_cast<std::size_t>(state.range(1));
   for (auto _ : state) {
@@ -78,13 +78,13 @@ void BM_Allgather(benchmark::State& state) {
       std::vector<Real> mine(words / static_cast<std::size_t>(p),
                              static_cast<Real>(comm.rank()));
       const auto all =
-          comm.allgather(std::span<const Real>(mine), CommCategory::kDense);
-      benchmark::DoNotOptimize(all.data());
+          comm.allgatherv(std::span<const Real>(mine), CommCategory::kDense);
+      benchmark::DoNotOptimize(all.data.data());
     }, &meters);
     state.counters["words/rank"] = meters[0].words(CommCategory::kDense);
   }
 }
-BENCHMARK(BM_Allgather)
+BENCHMARK(BM_Allgatherv)
     ->ArgsProduct({{2, 4, 16}, {1024, 16384, 131072}})
     ->Unit(benchmark::kMicrosecond);
 

@@ -1,8 +1,10 @@
 #include "src/comm/comm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -55,6 +57,14 @@ const char* op_kind_name(OpKind kind) {
       return "iallreduce_sum";
     case OpKind::kAlltoallv:
       return "ialltoallv";
+    case OpKind::kAllreduceMax:
+      return "allreduce_max";
+    case OpKind::kRoute:
+      return "route";
+    case OpKind::kExchange:
+      return "exchange";
+    case OpKind::kBarrier:
+      return "barrier";
   }
   return "?";
 }
@@ -63,13 +73,11 @@ void throw_peer_aborted(const OpContext& ctx, FaultSite site) {
   throw CommAborted(ctx.rank, ctx.op, ctx.cat, site, "a peer rank failed");
 }
 
-std::string order_mismatch(const OpContext& ctx, OpKind want, int peer,
-                           OpKind got) {
-  std::string msg = "nonblocking collective: ranks disagree on op order: "
-                    "rank ";
+std::string order_mismatch(const OpContext& ctx, int peer, OpKind got) {
+  std::string msg = "collective: ranks disagree on op order: rank ";
   msg += std::to_string(ctx.rank);
   msg += " waiting on ";
-  msg += op_kind_name(want);
+  msg += ctx.op;
   msg += " [";
   msg += comm_category_name(ctx.cat);
   msg += "], rank ";
@@ -77,6 +85,19 @@ std::string order_mismatch(const OpContext& ctx, OpKind want, int peer,
   msg += " posted ";
   msg += op_kind_name(got);
   return msg;
+}
+
+void check_uniform_len(const OpContext& ctx,
+                       const std::vector<std::size_t>& len) {
+  const std::size_t mine = len[static_cast<std::size_t>(ctx.rank)];
+  for (std::size_t r = 0; r < len.size(); ++r) {
+    CAGNET_CHECK(len[r] == mine,
+                 std::string(ctx.op) + " [" + comm_category_name(ctx.cat) +
+                     "]: ranks disagree on element count (rank " +
+                     std::to_string(ctx.rank) + " passed " +
+                     std::to_string(mine) + ", rank " + std::to_string(r) +
+                     " passed " + std::to_string(len[r]) + ")");
+  }
 }
 
 void AbortHub::register_state(const std::shared_ptr<CommState>& state) {
@@ -96,11 +117,8 @@ void AbortHub::poison() {
     if (!state) continue;
     // Any value change wakes parked waiters; they observe the flag and
     // unwind. The counters are meaningless once the world is dead. The
-    // phase gate bump is what releases peers parked in a *blocking*
-    // collective's rendezvous — including on split sub-communicators,
-    // which std::barrier could never unblock from outside.
-    state->gate.released.fetch_add(1, std::memory_order_release);
-    state->gate.released.notify_all();
+    // synchronous channel is in `channels` too, so peers parked in a
+    // blocking collective — on split sub-communicators as well — wake.
     for (const auto& channel : state->channels) {
       channel->posted.fetch_add(1, std::memory_order_release);
       channel->posted.notify_all();
@@ -192,15 +210,22 @@ CollectiveWindow::~CollectiveWindow() {
 
 }  // namespace detail
 
-void Comm::barrier() {
+void Comm::barrier() const {
   check_valid("barrier");
-  phase({rank_, CommCategory::kControl, "barrier"});
+  run_blocking(post_async(detail::OpKind::kBarrier, nullptr, 0, /*root=*/0,
+                          CommCategory::kControl, false,
+                          &PendingOp::complete_impl<char>, nullptr, 0, 0,
+                          nullptr, nullptr, "barrier",
+                          detail::PostMode::kSilent));
 }
 
 void Comm::quiesce() const {
   check_valid("quiesce");
   const detail::OpContext ctx{rank_, CommCategory::kControl, "quiesce"};
   auto& st = *state_;
+  // A release point is where the caller may free its sources next: on an
+  // aborted world the window's close waits out peers' reads of them.
+  detail::CollectiveWindow window(st, rank_);
   // All ranks post in the same program order, so this rank's ticket count
   // is the communicator-wide count of posted ops. Channel C carried the
   // tickets congruent to C mod K; each must be finished by every rank.
@@ -221,6 +246,7 @@ void Comm::quiesce_op(std::uint64_t ticket) const {
   const detail::OpContext ctx{rank_, CommCategory::kControl, "quiesce_op"};
   auto& st = *state_;
   if (auto* ck = st.checker.get()) ck->on_release(rank_, ticket, ctx.op);
+  detail::CollectiveWindow window(st, rank_);  // see quiesce()
   // Generations on a channel complete strictly in order (the recycle gate
   // serializes them), so finishing this op's generation implies the op —
   // and nothing on any other channel — is globally finished.
@@ -233,75 +259,43 @@ void Comm::quiesce_op(std::uint64_t ticket) const {
                         st.hub->aborted, ctx);
 }
 
-void Comm::phase(const detail::OpContext& ctx) const {
-  // One rendezvous on the poison-wakeable PhaseGate. Arrivals count
-  // cumulatively; arrival a belongs to phase (a-1)/P and the P-th arrival
-  // of a phase releases the rest. The acq_rel arrival RMW chains with the
-  // release on `released`, so slot writes before the barrier
-  // happen-before slot reads after it on every rank, exactly like the
-  // std::barrier it replaces — but a dead rank's absence no longer parks
-  // peers forever: AbortHub::poison bumps `released` and everyone
-  // unwinds through the abort checks in await_counter.
-  auto& st = *state_;
-  const std::atomic<bool>& aborted = st.hub->aborted;
-  if (aborted.load(std::memory_order_relaxed)) {
-    detail::throw_peer_aborted(ctx, FaultSite::kWait);
-  }
-  const std::uint64_t a =
-      st.gate.arrived.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (a % st.gate.size == 0) {
-    detail::bump_counter(st.gate.released, st.gate.waiters);
-    if (aborted.load(std::memory_order_relaxed)) {
-      detail::throw_peer_aborted(ctx, FaultSite::kWait);
-    }
-  } else {
-    detail::await_counter(st.gate.released, st.gate.waiters,
-                          (a - 1) / st.gate.size + 1, aborted, ctx);
-  }
-}
-
-void Comm::sync_sizes(std::size_t n, const detail::OpContext& ctx) const {
-  auto& st = *state_;
-  st.slot_len[static_cast<std::size_t>(rank_)] = n;
-  phase(ctx);
-  for (int r = 0; r < st.size; ++r) {
-    CAGNET_CHECK(st.slot_len[static_cast<std::size_t>(r)] == n,
-                 std::string(ctx.op) + " [" + comm_category_name(ctx.cat) +
-                     "]: ranks disagree on element count (rank " +
-                     std::to_string(rank_) + " passed " + std::to_string(n) +
-                     ", rank " + std::to_string(r) + " passed " +
-                     std::to_string(
-                         st.slot_len[static_cast<std::size_t>(r)]) +
-                     ")");
-  }
-  phase(ctx);
-}
-
 PendingOp Comm::post_async(detail::OpKind kind, const void* publish_ptr,
                            std::size_t publish_len, int root,
                            CommCategory cat, bool charged,
                            void (*complete)(PendingOp&), void* out,
                            std::size_t out_len, std::size_t src_len,
-                           void* gathered, const void* publish_ptr2) {
+                           void* gathered, const void* publish_ptr2,
+                           const char* name, detail::PostMode mode) const {
   auto& st = *state_;
   const auto rank = static_cast<std::size_t>(rank_);
-  const detail::OpContext ctx{rank_, cat, detail::op_kind_name(kind)};
+  const bool async = mode == detail::PostMode::kAsync;
+  const detail::OpContext ctx{rank_, cat,
+                              name != nullptr ? name
+                                              : detail::op_kind_name(kind)};
+  // Blocking ops own the synchronous channel (one in flight per rank, and
+  // released before the next), so they never touch the ring's budget or
+  // its tickets.
   CAGNET_CHECK(
-      st.outstanding[rank] < detail::kAsyncChannels,
+      !async || st.outstanding[rank] < detail::kAsyncChannels,
       "too many posted-but-unwaited nonblocking collectives on one "
       "communicator (max 16 in flight per rank); wait() some first");
-  detail::seam_event(st, ctx, FaultSite::kPost);
-  const std::uint64_t ticket = st.next_ticket[rank]++;
-  auto& ch = *st.channels[ticket % static_cast<std::uint64_t>(
-                                       detail::kAsyncChannels)];
+  if (mode != detail::PostMode::kSilent) {
+    detail::seam_event(st, ctx, FaultSite::kPost);
+  }
+  const std::uint64_t ticket =
+      async ? st.next_ticket[rank]++ : st.sync_ticket[rank]++;
+  auto& ch = async ? *st.channels[ticket % static_cast<std::uint64_t>(
+                                              detail::kAsyncChannels)]
+                   : st.sync_channel();
   const std::uint64_t gen =
-      ticket / static_cast<std::uint64_t>(detail::kAsyncChannels);
+      async ? ticket / static_cast<std::uint64_t>(detail::kAsyncChannels)
+            : ticket;
   // Recycle gate: every rank must have finished the channel's previous
   // generation before its slots may be overwritten.
   detail::await_counter(ch.finished, ch.waiters,
                         static_cast<std::uint64_t>(st.size) * gen,
                         st.hub->aborted, ctx);
-  if (auto* ck = st.checker.get()) {
+  if (auto* ck = st.checker.get(); ck != nullptr && async) {
     // Re-assert the gate with the value this rank just observed, and audit
     // ticket issuance, before any slot is overwritten.
     ck->on_post(rank_, ticket, ctx.op, cat,
@@ -316,17 +310,22 @@ PendingOp Comm::post_async(detail::OpKind kind, const void* publish_ptr,
   // Per-rank counter first: a per-source drainer that sees it also sees
   // the slot writes above (release/acquire through the counter).
   detail::bump_counter(ch.posted_by[rank], ch.waiters);
-  detail::bump_counter(ch.posted, ch.waiters);
-  st.outstanding[rank]++;
+  detail::bump_counter(ch.posted, ch.waiters,
+                       static_cast<std::uint64_t>(st.size));
+  if (async) st.outstanding[rank]++;
 
   PendingOp op;
   op.state_ = state_;
+  op.ch_ = &ch;
+  op.gen_ = gen;
+  op.name_ = ctx.op;
+  op.mode_ = mode;
   op.rank_ = rank_;
   op.meter_ = meter_;
   op.ticket_ = ticket;
   op.cat_ = cat;
   op.root_ = root;
-  op.charged_ = charged;
+  op.charged_ = charged && mode != detail::PostMode::kSilent;
   op.kind_ = kind;
   op.out_ = out;
   op.out_len_ = out_len;
@@ -336,6 +335,28 @@ PendingOp Comm::post_async(detail::OpKind kind, const void* publish_ptr,
   return op;
 }
 
+void Comm::run_blocking(PendingOp op) const {
+  auto& st = *state_;
+  const detail::OpContext ctx{rank_, op.cat_, op.name_};
+  contract::BlockingScope contract_scope(st.checker.get(), rank_, ctx.op,
+                                         ctx.cat);
+  // The blocking op's one wait event is reported here, under its public
+  // name, rather than by PendingOp::wait.
+  if (op.mode_ == detail::PostMode::kBlocking) {
+    detail::seam_event(st, ctx, FaultSite::kWait);
+  }
+  const std::uint64_t gen = op.gen_;
+  op.wait();
+  // The release is a window of its own, not nested around wait()'s: a
+  // dying rank drains its peers' windows after closing its own, and a
+  // still-open outer window would make two dying ranks wait on each other.
+  detail::CollectiveWindow window(st, rank_);
+  auto& ch = st.sync_channel();
+  detail::await_counter(ch.finished, ch.waiters,
+                        static_cast<std::uint64_t>(st.size) * (gen + 1),
+                        st.hub->aborted, ctx);
+}
+
 void PendingOp::wait() {
   if (!pending()) {
     // The no-op is the documented idempotent behaviour; under the
@@ -343,8 +364,7 @@ void PendingOp::wait() {
     // diagnosed misuse (it usually means two owners think they complete
     // the same op).
     if (waited_) {
-      contract::diagnose_double_wait(rank_, detail::op_kind_name(kind_),
-                                     cat_);
+      contract::diagnose_double_wait(rank_, name_, cat_);
     }
     return;
   }
@@ -355,90 +375,103 @@ void PendingOp::wait() {
   const std::shared_ptr<detail::CommState> keep = state_;
   auto& st = *keep;
   detail::CollectiveWindow window(st, rank_);
-  auto& ch = *st.channels[ticket_ % static_cast<std::uint64_t>(
-                                        detail::kAsyncChannels)];
-  const std::uint64_t gen =
-      ticket_ / static_cast<std::uint64_t>(detail::kAsyncChannels);
   // A broadcast root moves no data and reads no peer slot at its own
   // wait: it completes passively (charge + bookkeeping) without awaiting
   // peers' posts, so stage roots never stall on stragglers. Its source —
   // like every op source — stays readable until the communicator's
-  // release point (quiesce / quiesce_op / a blocking rendezvous).
+  // release point (quiesce / quiesce_op, or a blocking op's own release).
   // Per-source-drain alltoallvs likewise skip the aggregate await: their
   // completer awaits exactly the sources still undrained, so a rank that
   // drained or skipped every source never stalls on peers it needs
   // nothing from.
   const bool passive_root =
       kind_ == detail::OpKind::kBcast && rank_ == root_;
-  const bool per_source_drain =
-      kind_ == detail::OpKind::kAlltoallv && gathered_ == nullptr;
-  const detail::OpContext ctx{rank_, cat_, detail::op_kind_name(kind_)};
-  detail::seam_event(st, ctx, FaultSite::kWait);
+  const bool per_source_drain = per_source();
+  const bool async = mode_ == detail::PostMode::kAsync;
+  const detail::OpContext ctx{rank_, cat_, name_};
+  if (async) detail::seam_event(st, ctx, FaultSite::kWait);
   if (!passive_root && !per_source_drain) {
-    detail::await_counter(ch.posted, ch.waiters,
-                          static_cast<std::uint64_t>(st.size) * (gen + 1),
+    detail::await_counter(ch_->posted, ch_->waiters,
+                          static_cast<std::uint64_t>(st.size) * (gen_ + 1),
                           st.hub->aborted, ctx);
   }
   complete_(*this);
-  detail::bump_counter(ch.finished, ch.waiters);
-  st.outstanding[static_cast<std::size_t>(rank_)]--;
-  if (auto* ck = st.checker.get()) ck->on_complete(rank_);
+  detail::bump_counter(ch_->finished, ch_->waiters,
+                       static_cast<std::uint64_t>(st.size));
+  if (async) {
+    st.outstanding[static_cast<std::size_t>(rank_)]--;
+    if (auto* ck = st.checker.get()) ck->on_complete(rank_);
+  }
   waited_ = true;
   state_.reset();
   complete_ = nullptr;
 }
 
-namespace {
+void PendingOp::land_source(int src, std::size_t elem_bytes,
+                            const detail::OpContext& ctx) {
+  const std::uint64_t bit = std::uint64_t{1} << src;
+  if ((landed_mask_ & bit) != 0) return;
+  const auto s = static_cast<std::size_t>(src);
+  if (src != rank_) {
+    detail::await_counter(ch_->posted_by[s], ch_->waiters, gen_ + 1,
+                          state_->hub->aborted, ctx);
+  }
+  CAGNET_CHECK(ch_->kind[s] == kind_ && ch_->root[s] == root_,
+               detail::order_mismatch(ctx, src, ch_->kind[s]));
+  const auto* offs = static_cast<const std::size_t*>(ch_->ptr2[s]);
+  const auto me = static_cast<std::size_t>(rank_);
+  if (src != rank_) charge(1.0, (offs[me + 1] - offs[me]) * elem_bytes);
+  landed_mask_ |= bit;
+}
 
-/// Transient rendezvous used by Comm::split.
-struct SplitContext {
-  std::mutex mutex;
-  std::map<int, std::vector<std::pair<int, int>>> groups;  // color -> (key, rank)
-  std::map<int, std::shared_ptr<detail::CommState>> states;
-};
-
-}  // namespace
+void PendingOp::await_all_sources() {
+  CAGNET_CHECK(pending() && per_source(),
+               "await_all_sources: op is not a pending ialltoallv_post");
+  detail::CollectiveWindow window(*state_, rank_);
+  complete_(*this);
+}
 
 Comm Comm::split(int color, int key) const {
-  CAGNET_CHECK(valid(), "split on an invalid communicator");
-  const detail::OpContext op_ctx{rank_, CommCategory::kControl, "split"};
-  auto& st = *state_;
-
-  if (rank_ == 0) st.split_ctx = std::make_shared<SplitContext>();
-  phase(op_ctx);
-  auto* ctx = static_cast<SplitContext*>(st.split_ctx.get());
-  {
-    std::lock_guard<std::mutex> lock(ctx->mutex);
-    ctx->groups[color].push_back({key, rank_});
+  check_valid("split");
+  // Control-plane rendezvous: silent (no seam events, no charge), like the
+  // world's own construction. First every rank learns every (color, key).
+  const std::array<int, 2> mine = {color, key};
+  Gathered<int> all;
+  run_blocking(post_allgatherv(std::span<const int>(mine), all,
+                               CommCategory::kControl, false, "split",
+                               detail::PostMode::kSilent));
+  std::vector<std::pair<int, int>> group;  // (key, parent rank)
+  for (int r = 0; r < size(); ++r) {
+    if (all.chunk(r)[0] == color) group.push_back({all.chunk(r)[1], r});
   }
-  phase(op_ctx);
-
-  // Membership is frozen now; reads below need no lock.
-  std::vector<std::pair<int, int>> group = ctx->groups.at(color);
   std::sort(group.begin(), group.end());
-  const auto it = std::find(group.begin(), group.end(),
-                            std::make_pair(key, rank_));
-  const int new_rank = static_cast<int>(it - group.begin());
+  const int new_rank = static_cast<int>(
+      std::find(group.begin(), group.end(), std::make_pair(key, rank_)) -
+      group.begin());
 
+  // Then each group leader creates the sub-communicator (registered with
+  // the world's abort hub, so failures anywhere wake its waiters too) and
+  // hands its handle to the group: the leaders publish the handle's
+  // address, members copy the handle, and a final barrier keeps every
+  // leader's handle alive until its members hold their own reference.
+  std::shared_ptr<detail::CommState> state;
   if (new_rank == 0) {
-    // The sub-communicator registers with the world's abort hub so
-    // failures anywhere wake its parked nonblocking waiters too.
-    auto new_state = std::make_shared<detail::CommState>(
-        static_cast<int>(group.size()), st.hub);
-    st.hub->register_state(new_state);
-    std::lock_guard<std::mutex> lock(ctx->mutex);
-    ctx->states[color] = new_state;
+    state = std::make_shared<detail::CommState>(
+        static_cast<int>(group.size()), state_->hub);
+    state_->hub->register_state(state);
   }
-  phase(op_ctx);
-
-  std::shared_ptr<detail::CommState> new_state;
-  {
-    std::lock_guard<std::mutex> lock(ctx->mutex);
-    new_state = ctx->states.at(color);
+  const std::array<std::uintptr_t, 1> handle = {
+      new_rank == 0 ? reinterpret_cast<std::uintptr_t>(&state) : 0};
+  Gathered<std::uintptr_t> handles;
+  run_blocking(post_allgatherv(std::span<const std::uintptr_t>(handle),
+                               handles, CommCategory::kControl, false,
+                               "split", detail::PostMode::kSilent));
+  if (new_rank != 0) {
+    state = *reinterpret_cast<const std::shared_ptr<detail::CommState>*>(
+        handles.data[static_cast<std::size_t>(group.front().second)]);
   }
-  phase(op_ctx);
-  if (rank_ == 0) st.split_ctx.reset();
-  return Comm(std::move(new_state), new_rank, meter_);
+  barrier();
+  return Comm(std::move(state), new_rank, meter_);
 }
 
 void PendingCompressedReduce::wait() {
@@ -707,15 +740,19 @@ void run_world(int p, const std::function<void(Comm&)>& fn,
     });
   }
   for (auto& t : threads) t.join();
+  // Take the hub's strong refs whatever the outcome: each checked state
+  // also refers back to the hub, a cycle that would leak the world.
+  std::vector<std::shared_ptr<detail::CommState>> checked_states;
+  {
+    std::lock_guard<std::mutex> lock(hub->mutex);
+    checked_states.swap(hub->checked_states);
+  }
   if (first_error) std::rethrow_exception(first_error);
   // Teardown audit (contract checker armed, non-abort path only — a
   // poisoned world tears down mid-op by design): every communicator this
   // world created, splits included, must have retired all its posted ops.
-  {
-    std::lock_guard<std::mutex> lock(hub->mutex);
-    for (const auto& checked : hub->checked_states) {
-      checked->checker->verify_teardown();
-    }
+  for (const auto& checked : checked_states) {
+    checked->checker->verify_teardown();
   }
   if (meters_out) *meters_out = std::move(meters);
 }

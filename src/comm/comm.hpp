@@ -13,21 +13,26 @@
 // the communicator, in the same program order. All spans must stay alive
 // until the call returns.
 //
-// Nonblocking layer: the i-prefixed collectives (ibroadcast_from,
-// ireduce_scatter_sum, iallgatherv_into, iallreduce_sum) post immediately
-// and return a PendingOp whose wait() completes the data movement and the
-// meter charge. Posts must follow the same program order on every rank;
-// waits may be out of order. Between post and wait a rank may compute and
-// may run other collectives (blocking or nonblocking) on any communicator —
-// this is what the SUMMA double-buffering in src/core/ exploits. See
-// DESIGN.md, "Nonblocking runtime and overlap accounting".
+// One implementation per collective: every op is a publication on a
+// channel (AsyncChannel) plus a typed completion (PendingOp::complete_impl)
+// that moves this rank's data and charges the meter. The i-prefixed
+// collectives (ibroadcast_from, ireduce_scatter_sum, iallgatherv_into,
+// iallreduce_sum, ialltoallv_*) post on a ring of 16 channels and return a
+// PendingOp whose wait() runs the completion. Posts must follow the same
+// program order on every rank; waits may be out of order. Between post and
+// wait a rank may compute and may run other collectives on any
+// communicator — this is what the SUMMA double-buffering in src/core/
+// exploits. The blocking collectives are the same ops posted on the
+// communicator's dedicated synchronous channel, waited at once, and
+// released (every rank completed) before they return, so blocking calls
+// never consume the ring's in-flight budget. See DESIGN.md, "Nonblocking
+// runtime and overlap accounting".
 #pragma once
 
 #include <atomic>
 #include <cstring>
 #include <exception>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -56,19 +61,31 @@ namespace detail {
 /// deadlocked).
 inline constexpr int kAsyncChannels = 16;
 
-/// Which nonblocking collective a channel generation carries; published
-/// per rank so mismatched program order is diagnosed at wait().
+/// Which collective a channel generation carries; published per rank so
+/// mismatched program order is diagnosed at wait().
 enum class OpKind : std::uint8_t {
   kNone = 0,
   kBcast,
   kReduceScatter,
   kAllgatherv,
   kAllreduce,
+  kAllreduceMax,
   kAlltoallv,
+  kRoute,
+  kExchange,
+  kBarrier,
 };
 
-/// Display name of a nonblocking op kind (diagnostics and CommAborted).
+/// Display name of an op kind (diagnostics and CommAborted of ops posted
+/// without a public name, i.e. the nonblocking ones).
 const char* op_kind_name(OpKind kind);
+
+/// How a posted op completes. kAsync ops ride the 16-channel ring and are
+/// completed by the caller's wait(). kBlocking ops ride the communicator's
+/// synchronous channel and are waited and released inside the blocking
+/// call (Comm::run_blocking). kSilent is kBlocking for the control plane
+/// (barrier, split): no seam events and no charge.
+enum class PostMode : std::uint8_t { kAsync, kBlocking, kSilent };
 
 /// Identity of the operation a seam event or abort belongs to: the
 /// observing rank, the traffic category, and the op's display name. Built
@@ -127,10 +144,10 @@ struct CommState;
 
 /// World-wide abort fan-out shared by a world and every communicator split
 /// off it. A failing rank sets the flag and poisons every registered
-/// state's channels and phase gates (bump + notify), so waiters parked on
-/// futexes anywhere in the communicator tree — nonblocking waits AND
-/// blocking-collective rendezvous, including on split sub-communicators —
-/// wake, observe the flag, and unwind.
+/// state's channels (bump + notify), so waiters parked on futexes anywhere
+/// in the communicator tree — nonblocking waits, per-source drains, and
+/// blocking collectives on the synchronous channel, including on split
+/// sub-communicators — wake, observe the flag, and unwind.
 struct AbortHub {
   std::atomic<bool> aborted{false};
   std::mutex mutex;
@@ -147,41 +164,21 @@ struct AbortHub {
   void poison();  // comm.cpp
 };
 
-/// Abortable phase barrier (replaces std::barrier, which only a
-/// participant can drop: a rank that died elsewhere would leave peers
-/// parked in a blocking collective forever). Arrivals are a cumulative
-/// counter; the last arrival of a phase bumps `released` and wakes the
-/// rest, who park on it futex-style. AbortHub::poison bumps `released`
-/// too, so every parked arrival wakes, observes the flag, and unwinds —
-/// the unwind guarantee now covers blocking collectives on split
-/// sub-communicators as well.
-struct PhaseGate {
-  explicit PhaseGate(int n) : size(static_cast<std::uint64_t>(n)) {}
-
-  const std::uint64_t size;
-  std::atomic<std::uint64_t> arrived{0};
-  std::atomic<std::uint64_t> released{0};  ///< completed phases
-  std::atomic<int> waiters{0};
-};
-
-/// Shared state of one communicator: a phase barrier plus per-rank
-/// publication slots for the blocking collectives, and a ring of
-/// AsyncChannels for the nonblocking ones. All blocking slot accesses are
-/// separated by barrier phases, which provide the necessary happens-before
-/// edges; the channels carry their own ordering (see AsyncChannel).
+/// Shared state of one communicator: a ring of AsyncChannels for the
+/// nonblocking collectives plus one synchronous channel (the last entry
+/// of `channels`) for the blocking ones. Every channel carries its own
+/// ordering (see AsyncChannel).
 struct CommState {
   CommState(int n, std::shared_ptr<AbortHub> abort_hub)
-      : size(n), gate(n),
-        slot_ptr(static_cast<std::size_t>(n), nullptr),
-        slot_ptr2(static_cast<std::size_t>(n), nullptr),
-        slot_len(static_cast<std::size_t>(n), 0),
-        slot_dest(static_cast<std::size_t>(n), -1),
+      : size(n),
         next_ticket(static_cast<std::size_t>(n), 0),
+        sync_ticket(static_cast<std::size_t>(n), 0),
         outstanding(static_cast<std::size_t>(n), 0),
+        staging(static_cast<std::size_t>(n)),
         in_collective(static_cast<std::size_t>(n)),
         hub(std::move(abort_hub)) {
-    channels.reserve(kAsyncChannels);
-    for (int c = 0; c < kAsyncChannels; ++c) {
+    channels.reserve(kAsyncChannels + 1);
+    for (int c = 0; c <= kAsyncChannels; ++c) {
       channels.push_back(std::make_unique<AsyncChannel>(n));
     }
     if (contract::enabled()) {
@@ -197,15 +194,15 @@ struct CommState {
   /// dead world. The uid is never recycled, so a binding check against it
   /// always detects a new communicator.
   const std::uint64_t uid = next_uid();
-  PhaseGate gate;
-  std::vector<const void*> slot_ptr;
-  std::vector<const void*> slot_ptr2; // alltoallv per-destination offsets
-  std::vector<std::size_t> slot_len;  // element counts, payload-defined units
-  std::vector<int> slot_dest;         // route() destination per rank
-  std::vector<unsigned char> scratch; // reduction workspace (rank 0 resizes)
+  /// kAsyncChannels ring channels, then the synchronous channel.
   std::vector<std::unique_ptr<AsyncChannel>> channels;
   std::vector<std::uint64_t> next_ticket;  // per rank; owner-written only
+  std::vector<std::uint64_t> sync_ticket;  // per rank; blocking ops posted
   std::vector<int> outstanding;            // per-rank posted-unwaited count
+  /// Per-rank completion target of the in-place all-reduce (its result
+  /// may not overwrite a contribution peers are still reading); owner
+  /// access only.
+  std::vector<std::vector<unsigned char>> staging;
   /// Per-rank count of open slot-reading regions (blocking collective
   /// bodies, nonblocking waits, per-source drains). On the abort path a
   /// dying rank drains these before its unwind frees the buffers it
@@ -214,16 +211,12 @@ struct CommState {
   /// Lifecycle auditor (null unless contract::enabled() held at
   /// construction); split sub-communicators build their own.
   std::unique_ptr<contract::Checker> checker;
-  std::mutex mutex;
-  /// Transient rendezvous of an in-flight split(). Owned here (not by the
-  /// splitting ranks) so a rank failure mid-split cannot leak it: it is
-  /// released at the split's final phase, by the next split, or with this
-  /// state.
-  std::shared_ptr<void> split_ctx;
   /// Shared with every communicator split off this one, so a rank failure
   /// anywhere in the world also unblocks nonblocking waits on
   /// sub-communicators.
   std::shared_ptr<AbortHub> hub;
+
+  AsyncChannel& sync_channel() { return *channels.back(); }
 
  private:
   static std::uint64_t next_uid() {
@@ -245,12 +238,19 @@ void await_counter(const std::atomic<std::uint64_t>& counter,
                    const std::atomic<bool>& aborted, const OpContext& ctx);
 
 /// Counter bump + conditional wake, the posting half of await_counter's
-/// protocol.
+/// protocol. A channel's posted and finished counts are only ever awaited
+/// at whole generations (multiples of the communicator size), so for
+/// them `generation` is that size and only the bump completing one wakes
+/// the waiters — one wake per rendezvous instead of one per rank.
 // [[hot-path]]
 inline void bump_counter(std::atomic<std::uint64_t>& counter,
-                         const std::atomic<int>& waiters) {
-  counter.fetch_add(1, std::memory_order_seq_cst);
-  if (waiters.load(std::memory_order_seq_cst) != 0) counter.notify_all();
+                         const std::atomic<int>& waiters,
+                         std::uint64_t generation = 1) {
+  const std::uint64_t now =
+      counter.fetch_add(1, std::memory_order_seq_cst) + 1;
+  if (now % generation == 0 && waiters.load(std::memory_order_seq_cst) != 0) {
+    counter.notify_all();
+  }
 }
 
 /// The transport seam: every payload publication, completion await, and
@@ -278,11 +278,16 @@ inline void seam_event(const CommState& st, const OpContext& ctx,
 }
 
 /// Program-order mismatch diagnostic naming this rank, the op it is
-/// waiting on (kind + category), the offending peer, and what that peer
-/// posted instead. Out-of-line (comm.cpp) — built only on the failure
-/// path.
-std::string order_mismatch(const OpContext& ctx, OpKind want, int peer,
-                           OpKind got);
+/// waiting on (ctx's name + category), the offending peer, and what that
+/// peer posted instead. Out-of-line (comm.cpp) — built only on the
+/// failure path.
+std::string order_mismatch(const OpContext& ctx, int peer, OpKind got);
+
+/// The one size-mismatch diagnostic of every size-uniform op: throws an
+/// Error naming the op, its category, this rank and the first peer whose
+/// published element count differs from this rank's.
+void check_uniform_len(const OpContext& ctx,
+                       const std::vector<std::size_t>& len);
 
 /// RAII bracket around one slot-reading region (a blocking collective
 /// body, a nonblocking wait, a per-source drain). Healthy worlds pay two
@@ -353,46 +358,6 @@ struct CompressBuf {
   std::size_t bound_n = 0;       ///< bound element count
 };
 
-namespace detail {
-
-/// Shared unpack of the blocking and nonblocking alltoallv: computes the
-/// per-source offsets from each rank's published (send, offsets) pair,
-/// copies this rank's chunks into `out`, and returns the self-chunk
-/// element count (which the charge excludes). One copy keeps the two
-/// paths' movement and charge arithmetic in lockstep.
-template <typename T>
-std::size_t alltoallv_unpack(int p, int rank,
-                             const std::vector<const void*>& ptr,
-                             const std::vector<const void*>& ptr2,
-                             Gathered<T>& out) {
-  const auto me = static_cast<std::size_t>(rank);
-  out.offsets.resize(static_cast<std::size_t>(p) + 1);
-  out.offsets[0] = 0;
-  std::size_t self_chunk = 0;
-  for (int r = 0; r < p; ++r) {
-    const auto* offs =
-        static_cast<const std::size_t*>(ptr2[static_cast<std::size_t>(r)]);
-    const std::size_t len = offs[me + 1] - offs[me];
-    if (r == rank) self_chunk = len;
-    out.offsets[static_cast<std::size_t>(r) + 1] =
-        out.offsets[static_cast<std::size_t>(r)] + len;
-  }
-  out.data.resize(out.offsets.back());
-  for (int r = 0; r < p; ++r) {
-    const auto* offs =
-        static_cast<const std::size_t*>(ptr2[static_cast<std::size_t>(r)]);
-    const std::size_t len = offs[me + 1] - offs[me];
-    if (len == 0) continue;
-    std::memcpy(out.data.data() + out.offsets[static_cast<std::size_t>(r)],
-                static_cast<const T*>(ptr[static_cast<std::size_t>(r)]) +
-                    offs[me],
-                len * sizeof(T));
-  }
-  return self_chunk;
-}
-
-}  // namespace detail
-
 /// Handle to a posted-but-possibly-incomplete nonblocking collective.
 /// Move-only. wait() blocks until every member has posted the matching op,
 /// performs this rank's data movement, charges the meter exactly as the
@@ -416,6 +381,10 @@ class PendingOp {
     if (this != &other) {
       complete_for_destroy();
       state_ = std::move(other.state_);
+      ch_ = other.ch_;
+      gen_ = other.gen_;
+      name_ = other.name_;
+      mode_ = other.mode_;
       rank_ = other.rank_;
       meter_ = other.meter_;
       ticket_ = other.ticket_;
@@ -428,6 +397,7 @@ class PendingOp {
       src_len_ = other.src_len_;
       gathered_ = other.gathered_;
       drained_mask_ = other.drained_mask_;
+      landed_mask_ = other.landed_mask_;
       waited_ = other.waited_;
       complete_ = other.complete_;
       other.state_.reset();
@@ -444,6 +414,11 @@ class PendingOp {
 
   /// True between post and wait.
   bool pending() const { return state_ != nullptr; }
+
+  /// True for an ialltoallv_post op (drained source by source).
+  bool per_source() const {
+    return kind_ == detail::OpKind::kAlltoallv && gathered_ == nullptr;
+  }
 
   /// Posting-order index of this op on its communicator (valid while
   /// pending). Record it before wait() to later release this op's
@@ -468,12 +443,13 @@ class PendingOp {
   /// bitwise to the blocking alltoallv_into charge. Call at most once per
   /// source; the view stays readable until this communicator's release
   /// point for the op (quiesce / quiesce_op), exactly like any posted
-  /// source. Worlds wider than 64 ranks are diagnosed (the drain ledger
-  /// is a 64-bit mask).
+  /// source. A source already landed by await_all_sources returns at once
+  /// (its charge was applied there). Worlds wider than 64 ranks are
+  /// diagnosed (the drain ledger is a 64-bit mask).
   template <typename T>
   std::span<const T> await_source(int src) {
     CAGNET_CHECK(pending(), "await_source on a non-pending op");
-    CAGNET_CHECK(kind_ == detail::OpKind::kAlltoallv && gathered_ == nullptr,
+    CAGNET_CHECK(per_source(),
                  "await_source: op was not posted with ialltoallv_post");
     CAGNET_CHECK(src >= 0 && src < state_->size,
                  "await_source: source rank out of range");
@@ -483,28 +459,14 @@ class PendingOp {
     const detail::OpContext ctx{rank_, cat_, "ialltoallv_post drain"};
     detail::CollectiveWindow window(*state_, rank_);
     detail::seam_event(*state_, ctx, FaultSite::kWait);
-    auto& ch = *state_->channels[ticket_ %
-                                 static_cast<std::uint64_t>(
-                                     detail::kAsyncChannels)];
-    const std::uint64_t gen =
-        ticket_ / static_cast<std::uint64_t>(detail::kAsyncChannels);
-    if (src != rank_) {
-      detail::await_counter(ch.posted_by[static_cast<std::size_t>(src)],
-                            ch.waiters, gen + 1, state_->hub->aborted, ctx);
-    }
-    CAGNET_CHECK(ch.kind[static_cast<std::size_t>(src)] == kind_ &&
-                     ch.root[static_cast<std::size_t>(src)] == root_,
-                 detail::order_mismatch(
-                     ctx, kind_, src, ch.kind[static_cast<std::size_t>(src)]));
-    const auto* offs = static_cast<const std::size_t*>(
-        ch.ptr2[static_cast<std::size_t>(src)]);
-    const auto me = static_cast<std::size_t>(rank_);
-    const std::size_t lo = offs[me];
-    const std::size_t n = offs[me + 1] - lo;
-    if (src != rank_) charge(1.0, n * sizeof(T));
+    land_source(src, sizeof(T), ctx);
     drained_mask_ |= std::uint64_t{1} << src;
-    return {static_cast<const T*>(ch.ptr[static_cast<std::size_t>(src)]) + lo,
-            n};
+    const auto* offs = static_cast<const std::size_t*>(
+        ch_->ptr2[static_cast<std::size_t>(src)]);
+    const auto me = static_cast<std::size_t>(rank_);
+    return {static_cast<const T*>(ch_->ptr[static_cast<std::size_t>(src)]) +
+                offs[me],
+            offs[me + 1] - offs[me]};
   }
 
   /// Caller-certified empty chunk: charge the per-source latency unit and
@@ -518,21 +480,41 @@ class PendingOp {
   /// blocking form's (1 latency unit, zero words).
   void skip_source(int src) {
     CAGNET_CHECK(pending(), "skip_source on a non-pending op");
-    CAGNET_CHECK(kind_ == detail::OpKind::kAlltoallv && gathered_ == nullptr,
+    CAGNET_CHECK(per_source(),
                  "skip_source: op was not posted with ialltoallv_post");
     CAGNET_CHECK(src >= 0 && src < state_->size && src < 64,
                  "skip_source: source rank out of range");
-    CAGNET_CHECK((drained_mask_ & (std::uint64_t{1} << src)) == 0,
+    const std::uint64_t bit = std::uint64_t{1} << src;
+    CAGNET_CHECK((drained_mask_ & bit) == 0,
                  "skip_source: source already drained");
-    if (src != rank_) charge(1.0, 0);
-    drained_mask_ |= std::uint64_t{1} << src;
+    if ((landed_mask_ & bit) == 0 && src != rank_) charge(1.0, 0);
+    drained_mask_ |= bit;
+    landed_mask_ |= bit;
   }
+
+  /// Wait at post for a per-source drain: await and charge every source
+  /// not yet landed, leaving the op pending so each chunk is still read
+  /// through await_source (which then returns without blocking) and the
+  /// channel is released by the final wait(). Charges are the ones the
+  /// individual drains would apply, so both schedules meter identically.
+  void await_all_sources();  // comm.cpp
 
  private:
   friend class Comm;
 
+  /// Await `src`'s post (never for this rank), check it posted the
+  /// matching op, and charge its chunk (1 latency unit + its words; none
+  /// for the self chunk). No-op for a source already landed.
+  void land_source(int src, std::size_t elem_bytes,
+                   const detail::OpContext& ctx);  // comm.cpp
+
   void complete_for_destroy() noexcept {
     if (!pending()) return;
+    // Destroyed by a stack unwind: this rank is failing, and the frames
+    // owning this op's sources are about to be freed while peers may
+    // still read them. Failing the world first makes the wait's window
+    // close on an aborted world, which waits out every peer's open reads.
+    if (std::uncaught_exceptions() > 0) state_->hub->poison();
     try {
       wait();
     } catch (...) {
@@ -545,12 +527,8 @@ class PendingOp {
   // [[hot-path]]
   void charge(double latency_units, std::size_t bytes) {
     if (!charged_) return;
-    detail::seam_event(
-        *state_, {rank_, cat_, detail::op_kind_name(kind_)},
-        FaultSite::kCharge);
-    if (auto* ck = state_->checker.get()) {
-      ck->on_charge(rank_, detail::op_kind_name(kind_), cat_);
-    }
+    detail::seam_event(*state_, {rank_, cat_, name_}, FaultSite::kCharge);
+    if (auto* ck = state_->checker.get()) ck->on_charge(rank_, name_, cat_);
     meter_->add(cat_, latency_units,
                 static_cast<double>(bytes) / sizeof(Real));
   }
@@ -558,40 +536,23 @@ class PendingOp {
   template <typename T>
   static void complete_impl(PendingOp& op);
 
-  /// Completion of an ialltoallv_post op: await + charge whatever sources
-  /// the caller did not drain (no data is copied — an undrained chunk was
-  /// abandoned), then release the channel via the shared wait() epilogue.
-  /// Makes wait()/destruction equivalent to a full drain charge-wise.
+  /// Completion of an ialltoallv_post op: land (await + charge) every
+  /// source not landed yet — no data is copied; an undrained chunk was
+  /// abandoned — then wait()'s shared epilogue releases the channel. Makes
+  /// wait()/destruction equivalent to a full drain charge-wise.
   template <typename T>
   static void complete_drain_impl(PendingOp& op) {
     const detail::OpContext ctx{op.rank_, op.cat_, "ialltoallv_post drain"};
-    auto& ch = *op.state_->channels[op.ticket_ %
-                                    static_cast<std::uint64_t>(
-                                        detail::kAsyncChannels)];
-    const std::uint64_t gen =
-        op.ticket_ / static_cast<std::uint64_t>(detail::kAsyncChannels);
-    const int p = op.state_->size;
-    for (int r = 0; r < p; ++r) {
-      if (r == op.rank_ ||
-          (op.drained_mask_ & (std::uint64_t{1} << r)) != 0) {
-        continue;
-      }
-      detail::await_counter(ch.posted_by[static_cast<std::size_t>(r)],
-                            ch.waiters, gen + 1, op.state_->hub->aborted,
-                            ctx);
-      CAGNET_CHECK(ch.kind[static_cast<std::size_t>(r)] == op.kind_ &&
-                       ch.root[static_cast<std::size_t>(r)] == op.root_,
-                   detail::order_mismatch(
-                       ctx, op.kind_, r,
-                       ch.kind[static_cast<std::size_t>(r)]));
-      const auto* offs = static_cast<const std::size_t*>(
-          ch.ptr2[static_cast<std::size_t>(r)]);
-      const auto me = static_cast<std::size_t>(op.rank_);
-      op.charge(1.0, (offs[me + 1] - offs[me]) * sizeof(T));
+    for (int r = 0; r < op.state_->size; ++r) {
+      if (r != op.rank_) op.land_source(r, sizeof(T), ctx);
     }
   }
 
   std::shared_ptr<detail::CommState> state_;
+  detail::AsyncChannel* ch_ = nullptr;  ///< the channel the op posted on
+  std::uint64_t gen_ = 0;               ///< its generation on that channel
+  const char* name_ = nullptr;  ///< display name (seam events, charges)
+  detail::PostMode mode_ = detail::PostMode::kAsync;
   int rank_ = 0;
   CostMeter* meter_ = nullptr;
   std::uint64_t ticket_ = 0;
@@ -603,7 +564,8 @@ class PendingOp {
   std::size_t out_len_ = 0;      ///< destination element count
   std::size_t src_len_ = 0;      ///< this rank's contribution element count
   void* gathered_ = nullptr;     ///< Gathered<T>* for iallgatherv_into
-  std::uint64_t drained_mask_ = 0;  ///< await_source ledger (bit per rank)
+  std::uint64_t drained_mask_ = 0;  ///< sources the caller consumed
+  std::uint64_t landed_mask_ = 0;   ///< sources awaited and charged
   bool waited_ = false;  ///< completed by an explicit wait (double-wait check)
   void (*complete_)(PendingOp&) = nullptr;  ///< typed movement + charge
 };
@@ -714,8 +676,9 @@ class Comm {
     return *meter_;
   }
 
-  /// Synchronize all members (one barrier phase; charges nothing).
-  void barrier();
+  /// Synchronize all members (one rendezvous on the synchronous channel;
+  /// charges nothing).
+  void barrier() const;
 
   /// Report a named zero-cost protocol event at the transport seam
   /// (FaultSite::kCharge) without moving data or charging the meter. This
@@ -753,7 +716,10 @@ class Comm {
   /// and the world's abort flag.
   Comm split(int color, int key) const;
 
-  // ---- Collectives. `cat` selects the CostMeter category. ----
+  // ---- Collectives. `cat` selects the CostMeter category. Each one is
+  // the matching channel op posted on the synchronous channel, waited,
+  // and released before it returns (run_blocking), so its movement and
+  // charge are the nonblocking form's completion. ----
 
   /// In-place broadcast from `root` to all members. Charges lg(P) latency
   /// units and data.size() words to every rank (nothing when P == 1).
@@ -761,22 +727,10 @@ class Comm {
   void broadcast(std::span<T> data, int root, CommCategory cat) {
     check_valid("broadcast");
     check_member(root);
-    const detail::OpContext ctx{rank_, cat, "broadcast"};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    sync_sizes(data.size(), ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] = data.data();
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    if (rank_ != root && !data.empty()) {
-      std::memcpy(data.data(),
-                  state_->slot_ptr[static_cast<std::size_t>(root)],
-                  data.size() * sizeof(T));
-    }
-    phase(ctx);
-    if (size() > 1) charge(ctx, ceil_log2(size()), data.size() * sizeof(T));
+    // The root's buffer is only read, every other buffer only written, so
+    // in place is the broadcast_from completion with src == dst.
+    run_blocking(post_bcast(std::span<const T>(data), data, root, cat, true,
+                            "broadcast", detail::PostMode::kBlocking));
   }
 
   /// Broadcast that reads directly from the root's existing buffer: the
@@ -790,24 +744,8 @@ class Comm {
                       CommCategory cat) {
     check_valid("broadcast_from");
     check_member(root);
-    const detail::OpContext ctx{rank_, cat, "broadcast_from"};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    const std::size_t n = rank_ == root ? src.size() : dst.size();
-    sync_sizes(n, ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] =
-        rank_ == root ? static_cast<const void*>(src.data()) : nullptr;
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    if (rank_ != root && n > 0) {
-      std::memcpy(dst.data(),
-                  state_->slot_ptr[static_cast<std::size_t>(root)],
-                  n * sizeof(T));
-    }
-    phase(ctx);
-    if (size() > 1) charge(ctx, ceil_log2(size()), n * sizeof(T));
+    run_blocking(post_bcast(src, dst, root, cat, true, "broadcast_from",
+                            detail::PostMode::kBlocking));
   }
 
   /// In-place elementwise sum over all members; every rank ends with the
@@ -816,7 +754,8 @@ class Comm {
   template <typename T>
   void allreduce_sum(std::span<T> data, CommCategory cat) {
     check_valid("allreduce_sum");
-    reduce_impl(data, cat, /*is_max=*/false, "allreduce_sum");
+    allreduce_in_place(data, cat, detail::OpKind::kAllreduce,
+                       "allreduce_sum");
   }
 
   /// In-place elementwise max over all members. Charged like
@@ -824,7 +763,8 @@ class Comm {
   template <typename T>
   void allreduce_max(std::span<T> data, CommCategory cat) {
     check_valid("allreduce_max");
-    reduce_impl(data, cat, /*is_max=*/true, "allreduce_max");
+    allreduce_in_place(data, cat, detail::OpKind::kAllreduceMax,
+                       "allreduce_max");
   }
 
   /// Reduce-scatter with sum: `contrib` (same length on every rank) is the
@@ -836,47 +776,12 @@ class Comm {
   void reduce_scatter_sum(std::span<const T> contrib, std::span<T> out,
                           CommCategory cat) {
     check_valid("reduce_scatter_sum");
-    const detail::OpContext ctx{rank_, cat, "reduce_scatter_sum"};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    const int p = size();
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] = contrib.data();
-    state_->slot_len[static_cast<std::size_t>(rank_)] = out.size();
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    std::size_t offset = 0;
-    std::size_t total = 0;
-    for (int r = 0; r < p; ++r) {
-      if (r == rank_) offset = total;
-      total += state_->slot_len[static_cast<std::size_t>(r)];
-    }
-    CAGNET_CHECK(contrib.size() == total,
-                 "reduce_scatter: contribution length != sum of outputs");
-    // Chunk-by-chunk with contiguous inner loops so the accumulation
-    // vectorizes like the other collectives. The per-element order (zero,
-    // then ranks ascending) matches the per-element form exactly, so the
-    // result is bitwise identical.
-    std::fill(out.begin(), out.end(), T{});
-    for (int r = 0; r < p; ++r) {
-      const T* src = static_cast<const T*>(
-                         state_->slot_ptr[static_cast<std::size_t>(r)]) +
-                     offset;
-      for (std::size_t i = 0; i < out.size(); ++i) out[i] += src[i];
-    }
-    phase(ctx);
-    charge(ctx, ceil_log2(p),
-           total * sizeof(T) * (p - 1) / std::max(p, 1));
-  }
-
-  /// All-gather of equal-size chunks: every rank contributes `mine`, and
-  /// receives the rank-ordered concatenation. Charged like allgatherv.
-  template <typename T>
-  std::vector<T> allgather(std::span<const T> mine, CommCategory cat) {
-    check_valid("allgather");
-    sync_sizes(mine.size(), {rank_, cat, "allgather"});
-    return allgatherv(mine, cat).data;
+    run_blocking(post_async(detail::OpKind::kReduceScatter, contrib.data(),
+                            out.size(), /*root=*/0, cat, true,
+                            &PendingOp::complete_impl<T>, out.data(),
+                            out.size(), contrib.size(), nullptr, nullptr,
+                            "reduce_scatter_sum",
+                            detail::PostMode::kBlocking));
   }
 
   /// All-gather of variable-size chunks. Charges lg(P) latency units and
@@ -895,62 +800,21 @@ class Comm {
   void allgatherv_into(std::span<const T> mine, Gathered<T>& out,
                        CommCategory cat) {
     check_valid("allgatherv_into");
-    const detail::OpContext ctx{rank_, cat, "allgatherv_into"};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    const int p = size();
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] = mine.data();
-    state_->slot_len[static_cast<std::size_t>(rank_)] = mine.size();
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    out.offsets.resize(static_cast<std::size_t>(p) + 1);
-    out.offsets[0] = 0;
-    for (int r = 0; r < p; ++r) {
-      out.offsets[static_cast<std::size_t>(r) + 1] =
-          out.offsets[static_cast<std::size_t>(r)] +
-          state_->slot_len[static_cast<std::size_t>(r)];
-    }
-    out.data.resize(out.offsets.back());
-    for (int r = 0; r < p; ++r) {
-      const auto len = state_->slot_len[static_cast<std::size_t>(r)];
-      if (len == 0) continue;
-      std::memcpy(out.data.data() + out.offsets[static_cast<std::size_t>(r)],
-                  state_->slot_ptr[static_cast<std::size_t>(r)],
-                  len * sizeof(T));
-    }
-    phase(ctx);
-    charge(ctx, ceil_log2(p), (out.data.size() - mine.size()) * sizeof(T));
+    run_blocking(post_allgatherv(mine, out, cat, true, "allgatherv_into",
+                                 detail::PostMode::kBlocking));
   }
 
   /// Pairwise exchange: send `send` to `peer` and receive its message.
-  /// Both sides must name each other; peer == rank() is a local copy.
-  /// Charges 1 latency unit and the received words (nothing for self).
+  /// Both sides must name each other — a route whose completion also
+  /// checks that `peer` named this rank (a non-reciprocal pairing throws
+  /// an Error naming both ranks). peer == rank() is a local copy. Charges
+  /// 1 latency unit and the received words (nothing for self).
   template <typename T>
   std::vector<T> exchange(std::span<const T> send, int peer,
                           CommCategory cat) {
     check_valid("exchange");
-    check_member(peer);
-    const detail::OpContext ctx{rank_, cat, "exchange"};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] = send.data();
-    state_->slot_len[static_cast<std::size_t>(rank_)] = send.size();
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    const auto len = state_->slot_len[static_cast<std::size_t>(peer)];
-    std::vector<T> recv(len);
-    if (len > 0) {
-      std::memcpy(recv.data(),
-                  state_->slot_ptr[static_cast<std::size_t>(peer)],
-                  len * sizeof(T));
-    }
-    phase(ctx);
-    if (peer != rank_) charge(ctx, 1.0, len * sizeof(T));
-    return recv;
+    return route_impl(send, peer, cat, detail::OpKind::kExchange,
+                      "exchange");
   }
 
   /// Permutation all-to-all: every rank sends one message to `dest`; the
@@ -961,35 +825,7 @@ class Comm {
   template <typename T>
   std::vector<T> route(std::span<const T> send, int dest, CommCategory cat) {
     check_valid("route");
-    check_member(dest);
-    const detail::OpContext ctx{rank_, cat, "route"};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] = send.data();
-    state_->slot_len[static_cast<std::size_t>(rank_)] = send.size();
-    state_->slot_dest[static_cast<std::size_t>(rank_)] = dest;
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    int src = -1;
-    for (int r = 0; r < size(); ++r) {
-      if (state_->slot_dest[static_cast<std::size_t>(r)] == rank_) {
-        src = r;
-        break;
-      }
-    }
-    CAGNET_CHECK(src >= 0, "route: destinations do not form a permutation");
-    const auto len = state_->slot_len[static_cast<std::size_t>(src)];
-    std::vector<T> recv(len);
-    if (len > 0) {
-      std::memcpy(recv.data(),
-                  state_->slot_ptr[static_cast<std::size_t>(src)],
-                  len * sizeof(T));
-    }
-    phase(ctx);
-    if (src != rank_) charge(ctx, 1.0, len * sizeof(T));
-    return recv;
+    return route_impl(send, dest, cat, detail::OpKind::kRoute, "route");
   }
 
   /// Individualized all-to-all with variable chunk sizes: `send` holds this
@@ -1006,67 +842,17 @@ class Comm {
                       Gathered<T>& out, CommCategory cat) {
     check_valid("alltoallv_into");
     check_offsets(send.size(), send_offsets, "alltoallv_into");
-    const detail::OpContext ctx{rank_, cat, "alltoallv_into"};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    const int p = size();
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] = send.data();
-    state_->slot_ptr2[static_cast<std::size_t>(rank_)] = send_offsets.data();
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    const std::size_t self_chunk = detail::alltoallv_unpack<T>(
-        p, rank_, state_->slot_ptr, state_->slot_ptr2, out);
-    phase(ctx);
-    charge(ctx, p > 1 ? static_cast<double>(p - 1) : 0.0,
-           (out.data.size() - self_chunk) * sizeof(T));
+    run_blocking(post_async(detail::OpKind::kAlltoallv, send.data(),
+                            send.size(), /*root=*/0, cat, true,
+                            &PendingOp::complete_impl<T>, nullptr, 0,
+                            send.size(), &out, send_offsets.data(),
+                            "alltoallv_into", detail::PostMode::kBlocking));
   }
 
-  /// Gather to root (rank-ordered concatenation at root; empty elsewhere).
-  /// Charges lg(P) latency units; the root is charged the received words,
-  /// everyone else their sent words.
-  template <typename T>
-  Gathered<T> gather(std::span<const T> mine, int root, CommCategory cat) {
-    check_valid("gather");
-    check_member(root);
-    const detail::OpContext ctx{rank_, cat, "gather"};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    const int p = size();
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] = mine.data();
-    state_->slot_len[static_cast<std::size_t>(rank_)] = mine.size();
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    Gathered<T> result;
-    if (rank_ == root) {
-      result.offsets.resize(static_cast<std::size_t>(p) + 1, 0);
-      for (int r = 0; r < p; ++r) {
-        result.offsets[static_cast<std::size_t>(r) + 1] =
-            result.offsets[static_cast<std::size_t>(r)] +
-            state_->slot_len[static_cast<std::size_t>(r)];
-      }
-      result.data.resize(result.offsets.back());
-      for (int r = 0; r < p; ++r) {
-        const auto len = state_->slot_len[static_cast<std::size_t>(r)];
-        if (len == 0) continue;
-        std::memcpy(
-            result.data.data() + result.offsets[static_cast<std::size_t>(r)],
-            state_->slot_ptr[static_cast<std::size_t>(r)], len * sizeof(T));
-      }
-    }
-    phase(ctx);
-    charge(ctx, ceil_log2(p),
-           rank_ == root ? (result.data.size() - mine.size()) * sizeof(T)
-                         : mine.size() * sizeof(T));
-    return result;
-  }
-
-  // ---- Nonblocking collectives. Posts are nonblocking (no barrier
-  // phase); data moves and the meter is charged at PendingOp::wait(),
-  // with charges identical to the blocking forms. `charged = false`
+  // ---- Nonblocking collectives. Posts are nonblocking (a lock-free
+  // publication on the ring); data moves and the meter is charged at
+  // PendingOp::wait() by the same completion the blocking forms run, so
+  // charges are identical. `charged = false`
   // suppresses the automatic charge for callers that account the traffic
   // themselves (e.g. an op split into chunks whose per-chunk integer
   // charges would not sum to the unsplit op's). ----
@@ -1079,12 +865,8 @@ class Comm {
                             int root, CommCategory cat, bool charged = true) {
     check_valid("ibroadcast_from");
     check_member(root);
-    const bool is_root = rank_ == root;
-    return post_async(detail::OpKind::kBcast,
-                      is_root ? static_cast<const void*>(src.data()) : nullptr,
-                      is_root ? src.size() : dst.size(), root, cat, charged,
-                      &PendingOp::complete_impl<T>, dst.data(), dst.size(),
-                      src.size(), nullptr);
+    return post_bcast(src, dst, root, cat, charged, nullptr,
+                      detail::PostMode::kAsync);
   }
 
   /// Nonblocking reduce_scatter_sum (same chunking contract as the
@@ -1106,9 +888,8 @@ class Comm {
   PendingOp iallgatherv_into(std::span<const T> mine, Gathered<T>& out,
                              CommCategory cat, bool charged = true) {
     check_valid("iallgatherv_into");
-    return post_async(detail::OpKind::kAllgatherv, mine.data(), mine.size(),
-                      /*root=*/0, cat, charged, &PendingOp::complete_impl<T>,
-                      nullptr, 0, mine.size(), &out);
+    return post_allgatherv(mine, out, cat, charged, nullptr,
+                           detail::PostMode::kAsync);
   }
 
   /// Nonblocking *out-of-place* all-reduce sum: every rank posts `contrib`
@@ -1235,16 +1016,6 @@ class Comm {
                      "from run_world or split)");
   }
 
-  /// One barrier phase with abort propagation: unwinds with a CommAborted
-  /// naming `ctx` as soon as the world dies, even while parked (the
-  /// PhaseGate is poison-wakeable). Const because it only touches the
-  /// shared state, never this rank's identity.
-  void phase(const detail::OpContext& ctx) const;
-
-  /// Debug-style guard: all ranks must pass matching sizes to size-uniform
-  /// collectives (cheap, and catches the classic SUMMA off-by-one).
-  void sync_sizes(std::size_t n, const detail::OpContext& ctx) const;
-
   /// Purely local alltoallv offsets validation: size()+1 monotone entries
   /// spanning exactly the send buffer.
   void check_offsets(std::size_t send_len,
@@ -1260,16 +1031,6 @@ class Comm {
     }
   }
 
-  void charge(const detail::OpContext& ctx, double latency_units,
-              std::size_t bytes) {
-    detail::seam_event(*state_, ctx, FaultSite::kCharge);
-    if (auto* ck = state_->checker.get()) {
-      ck->on_charge(ctx.rank, ctx.op, ctx.cat);
-    }
-    meter_->add(ctx.cat, latency_units,
-                static_cast<double>(bytes) / sizeof(Real));
-  }
-
   /// Bind `buf` to this communicator and element count; a change of
   /// either resets the error-feedback residual (feedback accumulated on
   /// another communicator or buffer shape must not leak into this one).
@@ -1281,56 +1042,76 @@ class Comm {
     }
   }
 
-  /// Claim the next ticket, publish this rank's slot on its channel, and
-  /// hand back the armed PendingOp. Out-of-line (comm.cpp).
+  /// Claim the next ticket (on the ring for kAsync, on the synchronous
+  /// channel otherwise), publish this rank's slot on its channel, and hand
+  /// back the armed PendingOp. `name` (null: op_kind_name(kind)) is what
+  /// seam events, charges and aborts report. Out-of-line (comm.cpp).
   PendingOp post_async(detail::OpKind kind, const void* publish_ptr,
                        std::size_t publish_len, int root, CommCategory cat,
                        bool charged, void (*complete)(PendingOp&), void* out,
                        std::size_t out_len, std::size_t src_len,
-                       void* gathered, const void* publish_ptr2 = nullptr);
+                       void* gathered, const void* publish_ptr2 = nullptr,
+                       const char* name = nullptr,
+                       detail::PostMode mode = detail::PostMode::kAsync) const;
+
+  /// The synchronous-channel half of every blocking collective: wait the
+  /// op just posted there, then release — block until every member has
+  /// completed it, so peers are done reading this rank's sources and the
+  /// caller may reuse them. Out-of-line (comm.cpp).
+  void run_blocking(PendingOp op) const;
 
   template <typename T>
-  void reduce_impl(std::span<T> data, CommCategory cat, bool is_max,
-                   const char* op) {
-    const detail::OpContext ctx{rank_, cat, op};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    const int p = size();
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] = data.data();
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    if (rank_ == 0) state_->scratch.resize(data.size() * sizeof(T));
-    phase(ctx);
-    T* scratch = reinterpret_cast<T*>(state_->scratch.data());
-    // Rank r reduces its chunk across all publishers (reduce-scatter step).
-    const std::size_t lo = data.size() * static_cast<std::size_t>(rank_) /
-                           static_cast<std::size_t>(p);
-    const std::size_t hi = data.size() *
-                           (static_cast<std::size_t>(rank_) + 1) /
-                           static_cast<std::size_t>(p);
-    for (std::size_t i = lo; i < hi; ++i) {
-      T acc = static_cast<const T*>(state_->slot_ptr[0])[i];
-      for (int r = 1; r < p; ++r) {
-        const T v =
-            static_cast<const T*>(state_->slot_ptr[static_cast<std::size_t>(r)])[i];
-        if (is_max) {
-          if (v > acc) acc = v;
-        } else {
-          acc += v;
-        }
-      }
-      scratch[i] = acc;
-    }
-    phase(ctx);
-    // All-gather step: everyone copies the full reduced vector.
+  PendingOp post_bcast(std::span<const T> src, std::span<T> dst, int root,
+                       CommCategory cat, bool charged, const char* name,
+                       detail::PostMode mode) const {
+    const bool is_root = rank_ == root;
+    return post_async(detail::OpKind::kBcast,
+                      is_root ? static_cast<const void*>(src.data()) : nullptr,
+                      is_root ? src.size() : dst.size(), root, cat, charged,
+                      &PendingOp::complete_impl<T>, dst.data(), dst.size(),
+                      src.size(), nullptr, nullptr, name, mode);
+  }
+
+  template <typename T>
+  PendingOp post_allgatherv(std::span<const T> mine, Gathered<T>& out,
+                            CommCategory cat, bool charged, const char* name,
+                            detail::PostMode mode) const {
+    return post_async(detail::OpKind::kAllgatherv, mine.data(), mine.size(),
+                      /*root=*/0, cat, charged, &PendingOp::complete_impl<T>,
+                      nullptr, 0, mine.size(), &out, nullptr, name, mode);
+  }
+
+  /// In-place all-reduce: peers read `data` until the release, so the
+  /// completion lands in this rank's CommState staging and is copied back
+  /// afterwards.
+  template <typename T>
+  void allreduce_in_place(std::span<T> data, CommCategory cat,
+                          detail::OpKind kind, const char* name) {
+    auto& staging = state_->staging[static_cast<std::size_t>(rank_)];
+    staging.resize(data.size() * sizeof(T));
+    T* result = reinterpret_cast<T*>(staging.data());
+    run_blocking(post_async(kind, data.data(), data.size(), /*root=*/0, cat,
+                            true, &PendingOp::complete_impl<T>, result,
+                            data.size(), data.size(), nullptr, nullptr, name,
+                            detail::PostMode::kBlocking));
     if (!data.empty()) {
-      std::memcpy(data.data(), scratch, data.size() * sizeof(T));
+      std::memcpy(data.data(), result, data.size() * sizeof(T));
     }
-    phase(ctx);
-    charge(ctx, 2.0 * ceil_log2(p),
-           2 * data.size() * sizeof(T) * (p - 1) / std::max(p, 1));
+  }
+
+  /// Route / exchange: the destination is published through ptr2 (it
+  /// lives on this frame until the release).
+  template <typename T>
+  std::vector<T> route_impl(std::span<const T> send, int dest,
+                            CommCategory cat, detail::OpKind kind,
+                            const char* name) {
+    check_member(dest);
+    std::vector<T> recv;
+    run_blocking(post_async(kind, send.data(), send.size(), /*root=*/0, cat,
+                            true, &PendingOp::complete_impl<T>, &recv, 0,
+                            send.size(), nullptr, &dest, name,
+                            detail::PostMode::kBlocking));
+    return recv;
   }
 
   std::shared_ptr<detail::CommState> state_;
@@ -1340,35 +1121,31 @@ class Comm {
 
 template <typename T>
 void PendingOp::complete_impl(PendingOp& op) {
-  auto& ch = *op.state_->channels[op.ticket_ %
-                                  static_cast<std::uint64_t>(
-                                      detail::kAsyncChannels)];
+  const detail::AsyncChannel& ch = *op.ch_;
   const int p = op.state_->size;
+  const detail::OpContext ctx{op.rank_, op.cat_, op.name_};
   if (op.kind_ == detail::OpKind::kBcast && op.rank_ == op.root_) {
     // Passive root completion: peers may not have posted yet (wait()
     // skipped the await), so validate nothing and charge from this
-    // rank's own published length — identical to the blocking charge.
+    // rank's own published length.
     if (p > 1) op.charge(ceil_log2(p), op.src_len_ * sizeof(T));
     return;
   }
   for (int r = 0; r < p; ++r) {
     CAGNET_CHECK(ch.kind[static_cast<std::size_t>(r)] == op.kind_ &&
                      ch.root[static_cast<std::size_t>(r)] == op.root_,
-                 detail::order_mismatch(
-                     {op.rank_, op.cat_, detail::op_kind_name(op.kind_)},
-                     op.kind_, r, ch.kind[static_cast<std::size_t>(r)]));
+                 detail::order_mismatch(ctx, r,
+                                        ch.kind[static_cast<std::size_t>(r)]));
   }
+  const auto slot = [&](int r) {
+    return static_cast<const T*>(ch.ptr[static_cast<std::size_t>(r)]);
+  };
+  const auto me = static_cast<std::size_t>(op.rank_);
   switch (op.kind_) {
     case detail::OpKind::kBcast: {
-      const std::size_t n = ch.len[static_cast<std::size_t>(op.root_)];
-      for (int r = 0; r < p; ++r) {
-        CAGNET_CHECK(ch.len[static_cast<std::size_t>(r)] == n,
-                     "ibroadcast_from: ranks disagree on element count");
-      }
-      if (n > 0) {
-        std::memcpy(op.out_, ch.ptr[static_cast<std::size_t>(op.root_)],
-                    n * sizeof(T));
-      }
+      detail::check_uniform_len(ctx, ch.len);
+      const std::size_t n = ch.len[me];
+      if (n > 0) std::memcpy(op.out_, slot(op.root_), n * sizeof(T));
       if (p > 1) op.charge(ceil_log2(p), n * sizeof(T));
       break;
     }
@@ -1380,13 +1157,14 @@ void PendingOp::complete_impl(PendingOp& op) {
         total += ch.len[static_cast<std::size_t>(r)];
       }
       CAGNET_CHECK(op.src_len_ == total,
-                   "ireduce_scatter: contribution length != sum of outputs");
+                   std::string(op.name_) +
+                       ": contribution length != sum of outputs");
+      // Chunk-by-chunk with contiguous inner loops so the accumulation
+      // vectorizes; the per-element order is zero, then ranks ascending.
       T* out = static_cast<T*>(op.out_);
       std::fill(out, out + op.out_len_, T{});
       for (int r = 0; r < p; ++r) {
-        const T* src =
-            static_cast<const T*>(ch.ptr[static_cast<std::size_t>(r)]) +
-            offset;
+        const T* src = slot(r) + offset;
         for (std::size_t i = 0; i < op.out_len_; ++i) out[i] += src[i];
       }
       op.charge(ceil_log2(p),
@@ -1407,24 +1185,27 @@ void PendingOp::complete_impl(PendingOp& op) {
       for (int r = 0; r < p; ++r) {
         const auto len = ch.len[static_cast<std::size_t>(r)];
         if (len == 0) continue;
-        std::memcpy(out.data.data() +
-                        out.offsets[static_cast<std::size_t>(r)],
-                    ch.ptr[static_cast<std::size_t>(r)], len * sizeof(T));
+        std::memcpy(out.data.data() + out.offsets[static_cast<std::size_t>(r)],
+                    slot(r), len * sizeof(T));
       }
       op.charge(ceil_log2(p), (out.data.size() - op.src_len_) * sizeof(T));
       break;
     }
-    case detail::OpKind::kAllreduce: {
+    case detail::OpKind::kAllreduce:
+    case detail::OpKind::kAllreduceMax: {
+      detail::check_uniform_len(ctx, ch.len);
+      const bool is_max = op.kind_ == detail::OpKind::kAllreduceMax;
       const std::size_t n = op.out_len_;
-      for (int r = 0; r < p; ++r) {
-        CAGNET_CHECK(ch.len[static_cast<std::size_t>(r)] == n,
-                     "iallreduce_sum: ranks disagree on element count");
-      }
       T* out = static_cast<T*>(op.out_);
       for (std::size_t i = 0; i < n; ++i) {
-        T acc = static_cast<const T*>(ch.ptr[0])[i];
+        T acc = slot(0)[i];
         for (int r = 1; r < p; ++r) {
-          acc += static_cast<const T*>(ch.ptr[static_cast<std::size_t>(r)])[i];
+          const T v = slot(r)[i];
+          if (!is_max) {
+            acc += v;
+          } else if (v > acc) {
+            acc = v;
+          }
         }
         out[i] = acc;
       }
@@ -1434,13 +1215,63 @@ void PendingOp::complete_impl(PendingOp& op) {
       break;
     }
     case detail::OpKind::kAlltoallv: {
+      // Per-source offsets from each rank's published (send, offsets)
+      // pair; the self chunk is excluded from the charge.
       auto& out = *static_cast<Gathered<T>*>(op.gathered_);
-      const std::size_t self_chunk = detail::alltoallv_unpack<T>(
-          p, op.rank_, ch.ptr, ch.ptr2, out);
+      const auto offs = [&](int r) {
+        return static_cast<const std::size_t*>(
+            ch.ptr2[static_cast<std::size_t>(r)]);
+      };
+      out.offsets.resize(static_cast<std::size_t>(p) + 1);
+      out.offsets[0] = 0;
+      for (int r = 0; r < p; ++r) {
+        out.offsets[static_cast<std::size_t>(r) + 1] =
+            out.offsets[static_cast<std::size_t>(r)] + offs(r)[me + 1] -
+            offs(r)[me];
+      }
+      out.data.resize(out.offsets.back());
+      for (int r = 0; r < p; ++r) {
+        const std::size_t len = offs(r)[me + 1] - offs(r)[me];
+        if (len == 0) continue;
+        std::memcpy(out.data.data() + out.offsets[static_cast<std::size_t>(r)],
+                    slot(r) + offs(r)[me], len * sizeof(T));
+      }
+      const std::size_t self_chunk =
+          offs(op.rank_)[me + 1] - offs(op.rank_)[me];
       op.charge(p > 1 ? static_cast<double>(p - 1) : 0.0,
                 (out.data.size() - self_chunk) * sizeof(T));
       break;
     }
+    case detail::OpKind::kRoute:
+    case detail::OpKind::kExchange: {
+      const auto dest = [&](int r) {
+        return *static_cast<const int*>(ch.ptr2[static_cast<std::size_t>(r)]);
+      };
+      int src = -1;
+      if (op.kind_ == detail::OpKind::kExchange) {
+        // The peer this rank sends to must have named this rank back.
+        src = dest(op.rank_);
+        CAGNET_CHECK(dest(src) == op.rank_,
+                     std::string("exchange [") + comm_category_name(op.cat_) +
+                         "]: rank " + std::to_string(op.rank_) +
+                         " named peer " + std::to_string(src) + ", but rank " +
+                         std::to_string(src) + " named peer " +
+                         std::to_string(dest(src)));
+      } else {
+        for (int r = 0; r < p && src < 0; ++r) {
+          if (dest(r) == op.rank_) src = r;
+        }
+        CAGNET_CHECK(src >= 0, "route: destinations do not form a permutation");
+      }
+      auto& recv = *static_cast<std::vector<T>*>(op.out_);
+      const std::size_t len = ch.len[static_cast<std::size_t>(src)];
+      recv.resize(len);
+      if (len > 0) std::memcpy(recv.data(), slot(src), len * sizeof(T));
+      if (src != op.rank_) op.charge(1.0, len * sizeof(T));
+      break;
+    }
+    case detail::OpKind::kBarrier:
+      break;
     case detail::OpKind::kNone:
       CAGNET_CHECK(false, "completing an unarmed PendingOp");
   }
@@ -1449,9 +1280,9 @@ void PendingOp::complete_impl(PendingOp& op) {
 /// Launch a world of `p` ranks, each running `fn(comm)` on its own thread.
 /// Rethrows the first rank exception after joining all threads. Peers
 /// blocked anywhere — nonblocking waits, per-source drains, or blocking
-/// collectives' barrier phases, on the world or any split
-/// sub-communicator — are released by the abort machinery (the PhaseGate
-/// and channel counters are poison-wakeable) and unwind with a typed
+/// collectives on the synchronous channel, on the world or any split
+/// sub-communicator — are released by the abort machinery (every channel
+/// counter is poison-wakeable) and unwind with a typed
 /// CommAborted naming their rank, op, and category. The thread pool and
 /// the process-wide knobs are untouched by an abort, so the caller may
 /// immediately launch a fresh world (the recovery driver in

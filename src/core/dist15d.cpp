@@ -103,7 +103,7 @@ void Algebra15D::begin_epoch(int epoch) {
 
 void Algebra15D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
   const Index f = h.cols();
-  if (dist::overlap_enabled() && c_ > 1) {
+  if (c_ > 1) {
     // Release point for the previous layer's deferred team reduction:
     // team peers read this rank's T chunks at their waits, and `t` is
     // rewritten below. Readers drained a whole layer ago.
@@ -141,20 +141,9 @@ void Algebra15D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
     dist::halo_spmm_pipeline(
         h, (g_ % c_) == t_ ? &at_stripe_.at(g_) : nullptr, g_, slice_,
         halo_, CommCategory::kHalo, machine(), stats, t);
-  } else if (!(dist::overlap_enabled() && slice_.size() > 1 &&
-               !stages.empty())) {
-    for (int j : stages) {
-      const Matrix* hj = nullptr;
-      {
-        ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-        hj = dist::broadcast_dense_stage(h, hj_recv_, stage_rows(j), f, j,
-                                         slice_, CommCategory::kDense);
-      }
-      spmm_stage(j, hj);
-    }
-  } else {
-    // Overlapped: the next stripe stage's H panel is in flight while this
-    // stage's SpMM accumulates (H is stable for the whole epoch).
+  } else if (!stages.empty()) {
+    // The next stripe stage's H panel is in flight while this stage's
+    // SpMM accumulates (H is stable for the whole epoch).
     dist::overlapped_dense_stages(
         static_cast<int>(stages.size()),
         [&](int s, dist::PendingDenseStage& dn, Matrix& recv) {
@@ -172,15 +161,10 @@ void Algebra15D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
   // Team all-reduce completes the contraction and leaves T replicated
   // across the c team members (the 1.5D replication cost in flight).
   if (c_ == 1) return;
-  if (!dist::overlap_enabled()) {
-    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    team_.allreduce_sum(t.flat(), CommCategory::kDense);
-    return;
-  }
-  // Overlap mode: defer the reduction as row-chunked nonblocking ops; the
-  // times_weight override drains them interleaved with its GEMM. Chunk
-  // charges telescope over cumulative bytes so their sum is bitwise the
-  // blocking all-reduce charge (per-chunk integer division would not be).
+  // Defer the reduction as row-chunked nonblocking ops; the times_weight
+  // override drains them interleaved with its GEMM. Chunk charges
+  // telescope over cumulative bytes so their sum is bitwise the unsplit
+  // all-reduce charge (per-chunk integer division would not be).
   ScopedPhase scope(stats.profiler, Phase::kDenseComm);
   const Index rows = t.rows();
   t_reduced_.resize(rows, f);
@@ -206,6 +190,7 @@ void Algebra15D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
         std::span<const Real>(t.data() + r0 * f, n),
         std::span<Real>(t_reduced_.data() + r0 * f, n),
         CommCategory::kDense, /*charged=*/false));
+    dist::settle(deferred_.ops.back());
   }
   deferred_.active = true;
 }
@@ -255,16 +240,14 @@ void Algebra15D::times_weight(const Matrix& t, const Matrix& w, Matrix& z,
 void Algebra15D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
   const Index f = g.cols();
 
-  if (dist::overlap_enabled()) {
-    // Release points: slice peers read this rank's u_partial_ (previous
+  if (has_u_release_) {
+    // Release point: slice peers read this rank's u_partial_ (previous
     // layer's reduce-scatter; the halo backward manages its own pack
-    // staging instead) and team peers read u (previous layer's replica
-    // broadcast); both buffers are rewritten below. The slice release is
-    // bounded to that single op — anything broader would wait on the
-    // deferred gradient reductions, which peers finish only later.
+    // staging instead), and it is rewritten below. Bounded to that single
+    // op — anything broader would wait on the deferred gradient
+    // reductions, which peers finish only later.
     ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    if (has_u_release_) slice_.quiesce_op(u_release_ticket_);
-    team_.quiesce();
+    slice_.quiesce_op(u_release_ticket_);
   }
   // Outer product restricted to this stripe: partial U over the rows
   // R_j, j ≡ t (mod c), stacked in ascending-j order. The pieces are
@@ -310,38 +293,23 @@ void Algebra15D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
         std::span<const Index>(halo_.send_rows),
         std::span<const std::size_t>(halo_.send_row_offsets), g_, slice_,
         halo_, CommCategory::kDense, machine(), stats, u);
-    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    if (dist::overlap_enabled()) {
-      const std::span<const Real> src =
-          keeper ? std::span<const Real>(u.flat()) : std::span<const Real>{};
-      team_
-          .ibroadcast_from(src, keeper ? std::span<Real>{} : u.flat(),
-                           g_ % c_, CommCategory::kDense)
-          .wait();
-    } else if (keeper) {
-      team_.broadcast_from(std::span<const Real>(u.flat()),
-                           std::span<Real>{}, g_ % c_, CommCategory::kDense);
-    } else {
-      team_.broadcast_from(std::span<const Real>{}, u.flat(), g_ % c_,
-                           CommCategory::kDense);
+  } else {
+    // Same pays-off gate as the 1D path: the compressed reduce-scatter is
+    // an all-gather of full encoded contributions, a win only when the
+    // codec ratio beats the slice size.
+    CompressMode rmode =
+        slice_.size() > 1 ? row_compress_mode() : CompressMode::kOff;
+    if (!reduce_scatter_compression_pays(rmode, u_partial_.flat().size(),
+                                         slice_.size())) {
+      rmode = CompressMode::kOff;
     }
-    return;
-  }
-
-  // Same pays-off gate as the 1D path: the compressed reduce-scatter is
-  // an all-gather of full encoded contributions, a win only when the
-  // codec ratio beats the slice size.
-  CompressMode rmode =
-      slice_.size() > 1 ? row_compress_mode() : CompressMode::kOff;
-  if (!reduce_scatter_compression_pays(rmode, u_partial_.flat().size(),
-                                       slice_.size())) {
-    rmode = CompressMode::kOff;
-  }
-  if (rmode != CompressMode::kOff) {
-    // Lossy-coded slice reduce-scatter (the op times itself); the exact
-    // team broadcast then replicates the keeper's decoded block, so all
-    // replicas stay bitwise identical.
-    if (dist::overlap_enabled()) {
+    // Reduce-scatter within the slice: slice rank j' keeps U[R_j'] when
+    // j' ≡ t (mod c), nothing otherwise (chunk order is ascending j, which
+    // is ascending slice rank). The keeper's chunk lands directly in u.
+    // The nonblocking form skips the blocking call's release (u_partial_'s
+    // release is the quiesce above, a layer later); the lossy-coded form
+    // times itself.
+    if (rmode != CompressMode::kOff) {
       PendingCompressedReduce op = slice_.ireduce_scatter_sum_compressed(
           std::span<const Real>(u_partial_.flat()),
           keeper ? u.flat() : std::span<Real>{}, rmode, u_cbuf_,
@@ -349,88 +317,29 @@ void Algebra15D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
       u_release_ticket_ = op.ticket();
       has_u_release_ = true;
       op.wait();
+    } else {
       ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-      const std::span<const Real> src =
-          keeper ? std::span<const Real>(u.flat()) : std::span<const Real>{};
-      team_
-          .ibroadcast_from(src, keeper ? std::span<Real>{} : u.flat(),
-                           g_ % c_, CommCategory::kDense)
-          .wait();
-      return;
-    }
-    slice_.reduce_scatter_sum_compressed(
-        std::span<const Real>(u_partial_.flat()),
-        keeper ? u.flat() : std::span<Real>{}, rmode, u_cbuf_,
-        &stats.profiler);
-    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    if (keeper) {
-      team_.broadcast_from(std::span<const Real>(u.flat()),
-                           std::span<Real>{}, g_ % c_, CommCategory::kDense);
-    } else {
-      team_.broadcast_from(std::span<const Real>{}, u.flat(), g_ % c_,
-                           CommCategory::kDense);
-    }
-    return;
-  }
-
-  // Reduce-scatter within the slice: slice rank j' keeps U[R_j'] when
-  // j' ≡ t (mod c), nothing otherwise (chunk order is ascending j, which
-  // is ascending slice rank). The keeper's chunk lands directly in u.
-  // Then a team broadcast from the member holding this group's block:
-  // group g's reduced block landed on team member g mod c (the keeper).
-  // In overlap mode both use the nonblocking forms — identical charges,
-  // no trailing rendezvous (the sources' release is the quiesce above).
-  if (dist::overlap_enabled()) {
-    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    PendingOp reduce_op = slice_.ireduce_scatter_sum(
-        std::span<const Real>(u_partial_.flat()),
-        keeper ? u.flat() : std::span<Real>{}, CommCategory::kDense);
-    u_release_ticket_ = reduce_op.ticket();
-    has_u_release_ = true;
-    reduce_op.wait();
-    const std::span<const Real> src =
-        keeper ? std::span<const Real>(u.flat()) : std::span<const Real>{};
-    team_
-        .ibroadcast_from(src, keeper ? std::span<Real>{} : u.flat(),
-                         g_ % c_, CommCategory::kDense)
-        .wait();
-    return;
-  }
-  {
-    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    slice_.reduce_scatter_sum(std::span<const Real>(u_partial_.flat()),
-                              keeper ? u.flat() : std::span<Real>{},
-                              CommCategory::kDense);
-  }
-  {
-    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    if (keeper) {
-      team_.broadcast_from(std::span<const Real>(u.flat()),
-                           std::span<Real>{}, g_ % c_, CommCategory::kDense);
-    } else {
-      team_.broadcast_from(std::span<const Real>{}, u.flat(), g_ % c_,
-                           CommCategory::kDense);
+      PendingOp op = slice_.ireduce_scatter_sum(
+          std::span<const Real>(u_partial_.flat()),
+          keeper ? u.flat() : std::span<Real>{}, CommCategory::kDense);
+      u_release_ticket_ = op.ticket();
+      has_u_release_ = true;
+      op.wait();
     }
   }
-}
-
-void Algebra15D::reduce_gradients(Matrix& y_partial, Index f_in, Index f_out,
-                                  Matrix& y_full, EpochStats& stats) {
-  // Rows whole: y_partial is the group's (f_in x f_out) contribution,
-  // summed over groups within the slice (each slice forms the identical
-  // full sum independently, keeping Y replicated without cross-team
-  // traffic).
-  dist::allreduce_weight_gradient(y_partial, f_in, f_out, slice_,
-                                  stats.profiler, grad_pending_, y_full);
+  // Team broadcast from the member holding this group's block: group g's
+  // reduced (or landed) block is on team member g mod c (the keeper).
+  // Non-keepers receive their u whole; under a lossy codec the keeper's
+  // decoded block travels exactly, so all replicas stay bitwise equal.
+  ScopedPhase scope(stats.profiler, Phase::kDenseComm);
+  team_.broadcast_from(
+      keeper ? std::span<const Real>(u.flat()) : std::span<const Real>{},
+      keeper ? std::span<Real>{} : u.flat(), g_ % c_, CommCategory::kDense);
 }
 
 void Algebra15D::begin_reduce_gradients(Matrix& y_partial, Index f_in,
                                         Index f_out, Matrix& y_full,
                                         EpochStats& stats) {
-  if (!dist::overlap_enabled() || slice_.size() == 1) {
-    reduce_gradients(y_partial, f_in, f_out, y_full, stats);
-    return;
-  }
   dist::begin_allreduce_weight_gradient(y_partial, f_in, f_out, slice_,
                                         stats.profiler, grad_pending_,
                                         y_full);

@@ -51,16 +51,14 @@ class Algebra15D final : public DistSpmmAlgebra {
   /// mode, a no-op when CAGNET_STALE is off or halo mode is inactive.
   void begin_epoch(int epoch) override;
 
-  /// With overlap enabled, spmm_at defers the team (replica) all-reduce of
-  /// T as row-chunked nonblocking ops, and this override interleaves their
-  /// waits with the local Z = T W GEMM chunk by chunk — the reduction of
+  /// spmm_at defers the team (replica) all-reduce of T as row-chunked
+  /// nonblocking ops, and this override interleaves their waits with the
+  /// local Z = T W GEMM chunk by chunk — with overlap on, the reduction of
   /// chunk c+1 is in flight while chunk c multiplies. Results and metered
-  /// charges are bitwise identical to the blocking form.
+  /// charges are bitwise identical in both overlap modes.
   void times_weight(const Matrix& t, const Matrix& w, Matrix& z,
                     EpochStats& stats) override;
 
-  void reduce_gradients(Matrix& y_partial, Index f_in, Index f_out,
-                        Matrix& y_full, EpochStats& stats) override;
   void begin_reduce_gradients(Matrix& y_partial, Index f_in, Index f_out,
                               Matrix& y_full, EpochStats& stats) override;
   void finish_gradients(EpochStats& stats) override;
@@ -122,8 +120,9 @@ class Algebra15D final : public DistSpmmAlgebra {
   Matrix hj_recv2_;   ///< double-buffer partner (overlapped prefetch)
   Matrix u_partial_;  ///< stacked stripe outer-product partial (reused)
 
-  /// Deferred team (replica) all-reduce of T, posted by spmm_at in overlap
-  /// mode and drained chunk-by-chunk in times_weight. The chunk charges
+  /// Deferred team (replica) all-reduce of T, posted by spmm_at (settled
+  /// at its post with overlap off) and drained chunk-by-chunk in
+  /// times_weight. The chunk charges
   /// telescope (cumulative-bytes differences) so their sum is bitwise the
   /// blocking all-reduce charge for any team size.
   struct DeferredTeamReduce {

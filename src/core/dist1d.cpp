@@ -100,22 +100,9 @@ void Algebra1D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
     return;
   }
 
-  if (!dist::overlap_enabled() || p == 1) {
-    for (int j = 0; j < p; ++j) {
-      const Matrix* hj = nullptr;
-      {
-        ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-        hj = dist::broadcast_dense_stage(h, hj_recv_, stage_rows(j), f, j,
-                                         world_, CommCategory::kDense);
-      }
-      spmm_stage(j, hj);
-    }
-    return;
-  }
-
-  // Overlapped: stage j+1's H panel is in flight while stage j's SpMM
-  // accumulates. H is stable for the whole epoch, so late peer reads of
-  // the final stage need no extra release point.
+  // Stage j+1's H panel is in flight while stage j's SpMM accumulates. H
+  // is stable for the whole epoch, so late peer reads of the final stage
+  // need no extra release point.
   dist::overlapped_dense_stages(
       p,
       [&](int j, dist::PendingDenseStage& dn, Matrix& recv) {
@@ -133,13 +120,13 @@ void Algebra1D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
     return;
   }
 
-  if (dist::overlap_enabled()) {
+  if (has_u_release_) {
     // Release point for the previous layer's reduce-scatter: peers read
     // this rank's u_partial_ at their waits, and it is rewritten below.
     // Bounded to that single op — anything broader would wait on the
     // deferred gradient reductions, which peers finish only after this.
     ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    if (has_u_release_) world_.quiesce_op(u_release_ticket_);
+    world_.quiesce_op(u_release_ticket_);
   }
   // 1D outer product: U_partial = A(:, my rows) * G_i, a full n x f
   // low-rank partial (the O(nf) intermediate of Section IV-A.3) ...
@@ -152,7 +139,8 @@ void Algebra1D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
                         dist::block_degree(a_col_block_));
   }
   // ... reduce-scattered back to block rows. The nonblocking form skips
-  // the trailing rendezvous (u_partial_'s release is the quiesce above).
+  // the blocking call's release (u_partial_'s release is the quiesce
+  // above, a layer later).
   u.resize(local_rows(), f);
   // The compressed reduce-scatter gathers full encoded contributions, so
   // it only pays at small worlds / high codec ratios; fall back to the
@@ -165,38 +153,24 @@ void Algebra1D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
     rmode = CompressMode::kOff;
   }
   if (rmode != CompressMode::kOff) {
-    // Lossy-coded U reduce-scatter (the op times itself). Overlap mode
-    // records the release ticket exactly like the exact path; the wait
-    // here only completes this rank's decode, peers drain later.
-    if (dist::overlap_enabled()) {
-      PendingCompressedReduce op =
-          world_.ireduce_scatter_sum_compressed(
-              std::span<const Real>(u_partial_.flat()), u.flat(), rmode,
-              u_cbuf_, &stats.profiler);
-      u_release_ticket_ = op.ticket();
-      has_u_release_ = true;
-      op.wait();
-    } else {
-      world_.reduce_scatter_sum_compressed(
-          std::span<const Real>(u_partial_.flat()), u.flat(), rmode,
-          u_cbuf_, &stats.profiler);
-    }
+    // Lossy-coded U reduce-scatter (the op times itself), released like
+    // the exact path; the wait here only completes this rank's decode,
+    // peers drain later.
+    PendingCompressedReduce op = world_.ireduce_scatter_sum_compressed(
+        std::span<const Real>(u_partial_.flat()), u.flat(), rmode, u_cbuf_,
+        &stats.profiler);
+    u_release_ticket_ = op.ticket();
+    has_u_release_ = true;
+    op.wait();
     return;
   }
-  {
-    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    if (dist::overlap_enabled()) {
-      PendingOp op = world_.ireduce_scatter_sum(
-          std::span<const Real>(u_partial_.flat()), u.flat(),
-          CommCategory::kDense);
-      u_release_ticket_ = op.ticket();
-      has_u_release_ = true;
-      op.wait();
-    } else {
-      world_.reduce_scatter_sum(std::span<const Real>(u_partial_.flat()),
-                                u.flat(), CommCategory::kDense);
-    }
-  }
+  ScopedPhase scope(stats.profiler, Phase::kDenseComm);
+  PendingOp op = world_.ireduce_scatter_sum(
+      std::span<const Real>(u_partial_.flat()), u.flat(),
+      CommCategory::kDense);
+  u_release_ticket_ = op.ticket();
+  has_u_release_ = true;
+  op.wait();
 }
 
 void Algebra1D::spmm_a_halo(const Matrix& g, Matrix& u, EpochStats& stats) {
@@ -225,21 +199,9 @@ void Algebra1D::spmm_a_halo(const Matrix& g, Matrix& u, EpochStats& stats) {
       world_, halo_, CommCategory::kDense, machine(), stats, u);
 }
 
-void Algebra1D::reduce_gradients(Matrix& y_partial, Index f_in, Index f_out,
-                                 Matrix& y_full, EpochStats& stats) {
-  // Rows whole: y_partial is already (f_in x f_out); the "small 1D outer
-  // product" of Section IV-A.4 finishes with an f x f all-reduce.
-  dist::allreduce_weight_gradient(y_partial, f_in, f_out, world_,
-                                  stats.profiler, grad_pending_, y_full);
-}
-
 void Algebra1D::begin_reduce_gradients(Matrix& y_partial, Index f_in,
                                        Index f_out, Matrix& y_full,
                                        EpochStats& stats) {
-  if (!dist::overlap_enabled() || world_.size() == 1) {
-    reduce_gradients(y_partial, f_in, f_out, y_full, stats);
-    return;
-  }
   dist::begin_allreduce_weight_gradient(y_partial, f_in, f_out, world_,
                                         stats.profiler, grad_pending_,
                                         y_full);

@@ -19,9 +19,9 @@
 // Halo mode (CAGNET_HALO / dist::set_halo_enabled) implements the IV-A.8
 // request-and-send instead: a HaloPlan built once from the local A^T
 // sparsity exchanges exactly the remote H rows each rank needs (kHalo,
-// edgecut_P(A) * f words per layer), pipelined behind the stage SpMMs in
-// overlap mode (the self block multiplies while remote rows are in
-// flight; each peer's rows are drained zero-copy as they land), and the
+// edgecut_P(A) * f words per layer), pipelined behind the stage SpMMs
+// (the self block multiplies while remote rows are in flight; each
+// peer's rows are drained zero-copy as they land), and the
 // backward outer product sends only its structurally nonzero
 // contribution rows when the halo_backward_profitable gate passes (a
 // random partition keeps the reduce-scatter) — with losses and weights
@@ -68,8 +68,6 @@ class Algebra1D final : public DistSpmmAlgebra {
   /// mirrored contribution exchange (halo mode and the
   /// dist::halo_backward_profitable gate passed at construction).
   bool backward_halo_active() const { return use_halo_ && use_bwd_halo_; }
-  void reduce_gradients(Matrix& y_partial, Index f_in, Index f_out,
-                        Matrix& y_full, EpochStats& stats) override;
   void begin_reduce_gradients(Matrix& y_partial, Index f_in, Index f_out,
                               Matrix& y_full, EpochStats& stats) override;
   void finish_gradients(EpochStats& stats) override;

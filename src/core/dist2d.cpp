@@ -21,14 +21,14 @@ void Algebra2D::summa_spmm(const Csr& my_sparse,
                            EpochStats& stats) {
   // Stage k: A-block (i,k) travels along process row i; dense block (k,j)
   // travels along process column j. The shared loop double-buffers both
-  // when overlap is enabled (stage k+1 in flight behind stage k's SpMM)
-  // and replays the cached sparse charges in cached epochs.
+  // (stage k+1 in flight behind stage k's SpMM) and replays the cached
+  // sparse charges in cached epochs.
   const int q = grid_.pr;
-  if (dist::overlap_enabled()) {
+  {
     // Release point for this rank's earlier row-comm sources (partial-
-    // SUMMA T panels, feature-row gathers): their readers drained a whole
-    // layer ago, and `t` (their backing buffer in the forward pass) is
-    // rewritten below.
+    // SUMMA T panels, gradient slice gathers): their readers drained a
+    // whole layer ago, and `t` (their backing buffer in the forward pass)
+    // is rewritten below.
     ScopedPhase scope(stats.profiler, Phase::kDenseComm);
     grid_.row.quiesce();
   }
@@ -67,22 +67,9 @@ void Algebra2D::gather_feature_rows(const Matrix& local, Index f,
                                stats.profiler, ws_, full);
 }
 
-void Algebra2D::reduce_gradients(Matrix& y_partial, Index f_in, Index f_out,
-                                 Matrix& y_full, EpochStats& stats) {
-  // Column-wise reduction of the slice partials, then row all-gather to
-  // keep Y fully replicated (IV-C.4).
-  dist::assemble_weight_gradient(y_partial, f_in, f_out, grid_.pc, grid_.col,
-                                 grid_.row, stats.profiler, ws_,
-                                 grad_pending_, y_full);
-}
-
 void Algebra2D::begin_reduce_gradients(Matrix& y_partial, Index f_in,
                                        Index f_out, Matrix& y_full,
                                        EpochStats& stats) {
-  if (!dist::overlap_enabled()) {
-    reduce_gradients(y_partial, f_in, f_out, y_full, stats);
-    return;
-  }
   dist::begin_assemble_weight_gradient(y_partial, f_in, f_out, grid_.col,
                                        stats.profiler, grad_pending_,
                                        y_full);

@@ -262,6 +262,22 @@ void set_epoch_cache_enabled(bool on) { g_epoch_cache_enabled = on; }
 bool overlap_enabled() { return g_overlap_enabled; }
 void set_overlap_enabled(bool on) { g_overlap_enabled = on; }
 
+void settle(PendingOp& op) {
+  if (overlap_enabled() || !op.pending()) return;
+  if (op.per_source()) {
+    op.await_all_sources();
+    return;
+  }
+  PendingOp done = std::move(op);
+  done.wait();
+}
+
+void settle(PendingCompressedReduce& op) {
+  if (overlap_enabled()) return;
+  PendingCompressedReduce done = std::move(op);
+  done.wait();
+}
+
 bool halo_enabled() { return g_halo_enabled; }
 void set_halo_enabled(bool on) { g_halo_enabled = on; }
 
@@ -314,8 +330,7 @@ void drain_comm(const Comm& comm) noexcept {
 
 EpochResult reduce_loss_accuracy(const Matrix& local_log_probs, Index row_lo,
                                  const std::vector<Index>& labels,
-                                 Index labeled_count, Comm& comm,
-                                 std::array<double, 4>* scratch) {
+                                 Index labeled_count, Comm& comm) {
   double loss_sum = 0;
   double hits = 0;
   for (Index r = 0; r < local_log_probs.rows(); ++r) {
@@ -328,20 +343,7 @@ EpochResult reduce_loss_accuracy(const Matrix& local_log_probs, Index row_lo,
     if (pred == label) hits += 1;
   }
   std::array<double, 2> acc = {loss_sum, hits};
-  if (scratch != nullptr) {
-    // Nonblocking (overlap-mode) form: one lock-free rendezvous instead
-    // of four barrier phases. The caller owns the scratch lifetime and
-    // quiesces `comm` before reusing it.
-    (*scratch)[0] = acc[0];
-    (*scratch)[1] = acc[1];
-    comm.iallreduce_sum(std::span<const double>(scratch->data(), 2),
-                        std::span<double>(scratch->data() + 2, 2),
-                        CommCategory::kControl)
-        .wait();
-    acc = {(*scratch)[2], (*scratch)[3]};
-  } else {
-    comm.allreduce_sum(std::span<double>(acc), CommCategory::kControl);
-  }
+  comm.allreduce_sum(std::span<double>(acc), CommCategory::kControl);
   EpochResult result;
   result.loss = labeled_count > 0 ? acc[0] / static_cast<double>(labeled_count)
                                   : 0.0;
@@ -370,42 +372,6 @@ double block_degree(const Csr& block) {
              : 0.0;
 }
 
-const Matrix* broadcast_dense_stage(const Matrix& mine, Matrix& recv,
-                                    Index rows, Index cols, int root,
-                                    Comm& comm, CommCategory cat) {
-  if (comm.rank() == root) {
-    CAGNET_CHECK(mine.rows() == rows && mine.cols() == cols,
-                 "broadcast_dense_stage: root block shape mismatch");
-    comm.broadcast_from(std::span<const Real>(mine.flat()),
-                        std::span<Real>{}, root, cat);
-    return &mine;
-  }
-  recv.resize(rows, cols);
-  comm.broadcast_from(std::span<const Real>{}, recv.flat(), root, cat);
-  return &recv;
-}
-
-void allreduce_weight_gradient(Matrix& y_partial, Index f_in, Index f_out,
-                               Comm& comm, Profiler& profiler,
-                               PendingGradReduce& pending, Matrix& y_full) {
-  CAGNET_CHECK(y_partial.rows() == f_in && y_partial.cols() == f_out,
-               "reduce_gradients: unexpected partial shape");
-  std::swap(y_partial, y_full);
-  const CompressMode gmode = gradient_compress_mode();
-  if (gmode != CompressMode::kOff) {
-    // Layer order is the call order, so ccount indexes this layer's
-    // residual slot; finish_gradients (called unconditionally per epoch)
-    // resets it. The op times itself (encode/decode under kCompressPack,
-    // wire under kDenseComm) — no outer ScopedPhase.
-    comm.allreduce_sum_compressed(y_full.flat(), gmode,
-                                  pending.compress_slot(pending.ccount++),
-                                  &profiler);
-    return;
-  }
-  ScopedPhase scope(profiler, Phase::kDenseComm);
-  comm.allreduce_sum(y_full.flat(), CommCategory::kDense);
-}
-
 void PendingDenseStage::post(const Matrix& mine, Matrix& recv, Index rows,
                              Index cols, int root, Comm& comm,
                              CommCategory cat) {
@@ -415,11 +381,13 @@ void PendingDenseStage::post(const Matrix& mine, Matrix& recv, Index rows,
     op_ = comm.ibroadcast_from(std::span<const Real>(mine.flat()),
                                std::span<Real>{}, root, cat);
     result_ = &mine;
-    return;
+  } else {
+    recv.resize(rows, cols);
+    op_ = comm.ibroadcast_from(std::span<const Real>{}, recv.flat(), root,
+                               cat);
+    result_ = &recv;
   }
-  recv.resize(rows, cols);
-  op_ = comm.ibroadcast_from(std::span<const Real>{}, recv.flat(), root, cat);
-  result_ = &recv;
+  settle(op_);
 }
 
 const Matrix* PendingDenseStage::wait() {
@@ -451,6 +419,7 @@ void PendingCsrBcast::post_header(const Csr* mine, Csr& recv,
     header_op_ = comm.ibroadcast_from(std::span<const Index>{},
                                       std::span<Index>(header), root, cat);
   }
+  settle(header_op_);
   stage_ = 1;
 }
 
@@ -476,6 +445,7 @@ void PendingCsrBcast::post_parts() {
     parts_[2] = comm_->ibroadcast_from(std::span<const Real>{},
                                        recv_->values(), root_, cat_);
   }
+  for (PendingOp& op : parts_) settle(op);
   stage_ = 2;
 }
 
@@ -498,7 +468,7 @@ void overlapped_dense_stages(
     ScopedPhase scope(profiler, Phase::kDenseComm);
     post_stage(0, dn[0], *recv[0]);
   }
-  OverlapScope region(meter, work, machine);
+  OverlapScope region(meter, work, machine, /*pipelined=*/stages > 1);
   for (int s = 0; s < stages; ++s) {
     const int cur = s & 1;
     const int nxt = 1 - cur;
@@ -553,41 +523,11 @@ void summa_stage_loop(const Csr& my_sparse, SparseStageCache& cache,
                : &cache.blocks[static_cast<std::size_t>(s)];
   };
 
-  if (!overlap_enabled() || stages == 1) {
-    // Blocking (synchronous) loop: stage s's blocks arrive, then stage s
-    // computes — each stage's communication is fully latency-exposed.
-    for (int s = 0; s < stages; ++s) {
-      const Csr* a = nullptr;
-      if (use_cache) {
-        a = cached_block(s);
-      } else {
-        ScopedPhase scope(stats.profiler, Phase::kSparseComm);
-        CostMeter before = meter;
-        a = broadcast_csr(sparse_comm.rank() == s ? &my_sparse : nullptr,
-                          cache.blocks[static_cast<std::size_t>(s)], s,
-                          sparse_comm, CommCategory::kSparse);
-        CostMeter delta = meter;
-        delta.subtract(before);
-        cache.charges.merge_sum(delta);
-        cache.own_stage[static_cast<std::size_t>(s)] = a == &my_sparse;
-      }
-      const Matrix* d = nullptr;
-      {
-        ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-        d = broadcast_dense_stage(my_dense, ws.stage_recv, stage_rows(s), w,
-                                  s, dense_comm, CommCategory::kDense);
-      }
-      spmm_stage(a, d);
-    }
-    cache.ready = epoch_cache_enabled();
-    return;
-  }
-
-  // Overlapped loop: stage s+1's sparse payloads and dense panel are in
-  // flight while stage s's SpMM runs; the CSR header travels one stage
-  // further ahead so the payloads can be sized and posted on time. The
-  // charge order per category is identical to the blocking loop (header s,
-  // payloads s, header s+1, ...), so metered totals are bitwise equal.
+  // Stage s+1's sparse payloads and dense panel are in flight while stage
+  // s's SpMM runs; the CSR header travels one stage further ahead so the
+  // payloads can be sized and posted on time. Every charge is a dyadic
+  // word count, so per-category totals do not depend on whether the ops
+  // complete at their waits or, with overlap off, at their posts.
   const bool live_sparse = !use_cache;
   const auto sparse_section = [&](auto&& fn) {
     ScopedPhase scope(stats.profiler, Phase::kSparseComm);
@@ -608,8 +548,10 @@ void summa_stage_loop(const Csr& my_sparse, SparseStageCache& cache,
     sparse_section([&] {
       sp[0].post_header(root_block(0), cache.blocks[0], cache.headers[0], 0,
                         sparse_comm, CommCategory::kSparse);
-      sp[1].post_header(root_block(1), cache.blocks[1], cache.headers[1], 1,
-                        sparse_comm, CommCategory::kSparse);
+      if (stages > 1) {
+        sp[1].post_header(root_block(1), cache.blocks[1], cache.headers[1],
+                          1, sparse_comm, CommCategory::kSparse);
+      }
       sp[0].post_parts();
     });
   }
@@ -619,7 +561,7 @@ void summa_stage_loop(const Csr& my_sparse, SparseStageCache& cache,
                CommCategory::kDense);
   }
 
-  OverlapScope region(meter, stats.work, machine);
+  OverlapScope region(meter, stats.work, machine, /*pipelined=*/stages > 1);
   for (int s = 0; s < stages; ++s) {
     const int cur = s & 1;
     const int nxt = 1 - cur;
@@ -661,33 +603,6 @@ void summa_stage_loop(const Csr& my_sparse, SparseStageCache& cache,
   cache.ready = epoch_cache_enabled();
 }
 
-const Csr* broadcast_csr(const Csr* mine, Csr& recv, int root, Comm& comm,
-                         CommCategory cat) {
-  const bool is_root = comm.rank() == root;
-  std::array<Index, 3> header = {0, 0, 0};
-  if (is_root) {
-    CAGNET_CHECK(mine != nullptr, "broadcast_csr: root must supply a block");
-    header = {mine->rows(), mine->cols(), mine->nnz()};
-  }
-  comm.broadcast(std::span<Index>(header), root, cat);
-  if (is_root) {
-    // The root publishes straight from its block's arrays — no staging
-    // copy, no deserialization, and the caller keeps using `mine`.
-    comm.broadcast_from(mine->row_ptr(), std::span<Index>{}, root, cat);
-    comm.broadcast_from(mine->col_idx(), std::span<Index>{}, root, cat);
-    comm.broadcast_from(std::span<const Real>(mine->values()),
-                        std::span<Real>{}, root, cat);
-    return mine;
-  }
-  recv.resize_parts(header[0], header[1], header[2]);
-  comm.broadcast_from(std::span<const Index>{}, recv.row_ptr_mut(), root,
-                      cat);
-  comm.broadcast_from(std::span<const Index>{}, recv.col_idx_mut(), root,
-                      cat);
-  comm.broadcast_from(std::span<const Real>{}, recv.values(), root, cat);
-  return &recv;
-}
-
 Csr exchange_csr(const Csr& mine, int peer, Comm& comm, CommCategory cat) {
   const std::array<Index, 3> my_header = {mine.rows(), mine.cols(),
                                           mine.nnz()};
@@ -725,21 +640,7 @@ void partial_summa_times_weight(const Matrix& t, const Matrix& w, int parts,
     return fm1 - fm0;
   };
 
-  if (!overlap_enabled() || parts == 1) {
-    for (int m = 0; m < parts; ++m) {
-      const Matrix* t_m = nullptr;
-      {
-        ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-        t_m = broadcast_dense_stage(t, ws.stage_recv, local_rows,
-                                    stage_cols(m), m, row_comm,
-                                    CommCategory::kDense);
-      }
-      gemm_stage(m, t_m);
-    }
-    return;
-  }
-
-  // Overlapped: the stage-m+1 T panel is in flight while the stage-m GEMM
+  // The stage-m+1 T panel is in flight while the stage-m GEMM
   // accumulates. Source-release contract: peers may still be copying this
   // rank's T panels after we return; the caller quiesces row_comm before
   // T is next rewritten (the 2D/3D algebras do it at their stage-loop
@@ -758,19 +659,9 @@ void allgather_feature_rows(const Matrix& local, Index full_cols, int parts,
                             Comm& row_comm, Profiler& profiler,
                             DistWorkspace& ws, Matrix& full) {
   {
-    // In overlap mode the nonblocking form (posted and waited in place)
-    // replaces the blocking one: same movement and identical charge, but
-    // a single lock-free rendezvous instead of two barrier phases.
     ScopedPhase scope(profiler, Phase::kDenseComm);
-    if (overlap_enabled()) {
-      row_comm
-          .iallgatherv_into(std::span<const Real>(local.flat()), ws.gathered,
-                            CommCategory::kDense)
-          .wait();
-    } else {
-      row_comm.allgatherv_into(std::span<const Real>(local.flat()),
-                               ws.gathered, CommCategory::kDense);
-    }
+    row_comm.allgatherv_into(std::span<const Real>(local.flat()),
+                             ws.gathered, CommCategory::kDense);
   }
   full.resize(local.rows(), full_cols);
   for (int jj = 0; jj < parts; ++jj) {
@@ -784,42 +675,6 @@ void allgather_feature_rows(const Matrix& local, Index full_cols, int parts,
                 chunk.begin() + (r + 1) * (c1 - c0),
                 full.data() + r * full_cols + c0);
     }
-  }
-}
-
-void assemble_weight_gradient(Matrix& y_slice, Index f_in, Index f_out,
-                              int parts, Comm& reduce_comm, Comm& row_comm,
-                              Profiler& profiler, DistWorkspace& ws,
-                              PendingGradReduce& pending, Matrix& y) {
-  // Always the blocking form: in overlap mode the engine routes gradient
-  // assembly through begin_/finish_assemble_weight_gradient instead,
-  // whose per-layer staging gives every nonblocking source a stable
-  // lifetime (a workspace-backed nonblocking variant here would race a
-  // lagging row peer against the next call's buffer resize).
-  const CompressMode gmode = gradient_compress_mode();
-  if (gmode != CompressMode::kOff) {
-    // Only the slice sum is lossy-coded; the row all-gather below moves
-    // already-reduced slices and stays exact, so every rank unpacks the
-    // same decoded values.
-    reduce_comm.allreduce_sum_compressed(
-        y_slice.flat(), gmode, pending.compress_slot(pending.ccount++),
-        &profiler);
-  } else {
-    ScopedPhase scope(profiler, Phase::kDenseComm);
-    reduce_comm.allreduce_sum(y_slice.flat(), CommCategory::kDense);
-  }
-  {
-    ScopedPhase scope(profiler, Phase::kDenseComm);
-    row_comm.allgatherv_into(std::span<const Real>(y_slice.flat()),
-                             ws.gathered, CommCategory::kDense);
-  }
-  y.resize(f_in, f_out);
-  for (int jj = 0; jj < parts; ++jj) {
-    const auto [r0, r1] = block_range(f_in, parts, jj);
-    const auto chunk = ws.gathered.chunk(jj);
-    CAGNET_CHECK(chunk.size() == static_cast<std::size_t>((r1 - r0) * f_out),
-                 "assemble_weight_gradient: slice size mismatch");
-    std::copy(chunk.begin(), chunk.end(), y.data() + r0 * f_out);
   }
 }
 
@@ -856,9 +711,15 @@ void begin_allreduce_weight_gradient(Matrix& y_partial, Index f_in,
     // pending.src slot is needed. The op times itself.
     const std::size_t i = pending.ccount++;
     y_full.resize(f_in, f_out);
-    pending_slot(pending.cops, i) = comm.iallreduce_sum_compressed(
+    PendingCompressedReduce& op = pending_slot(pending.cops, i);
+    op = comm.iallreduce_sum_compressed(
         std::span<const Real>(y_partial.flat()), y_full.flat(), gmode,
         pending.compress_slot(i), &profiler);
+    if (op.pending()) {  // P == 1 completes at post and sends nothing
+      pending.release_ticket = op.ticket();
+      pending.has_release = true;
+    }
+    settle(op);
     return;
   }
   ScopedPhase scope(profiler, Phase::kDenseComm);
@@ -875,34 +736,23 @@ void begin_allreduce_weight_gradient(Matrix& y_partial, Index f_in,
   std::copy(y_partial.flat().begin(), y_partial.flat().end(),
             src.flat().begin());
   y_full.resize(f_in, f_out);
-  pending_slot(pending.ops, i) = comm.iallreduce_sum(
-      std::span<const Real>(src.flat()), y_full.flat(),
-      CommCategory::kDense);
+  PendingOp& op = pending_slot(pending.ops, i);
+  op = comm.iallreduce_sum(std::span<const Real>(src.flat()), y_full.flat(),
+                           CommCategory::kDense);
+  pending.release_ticket = op.ticket();
+  pending.has_release = true;
+  settle(op);
 }
 
 void finish_allreduce_weight_gradient(Profiler& profiler,
                                       PendingGradReduce& pending) {
   {
     ScopedPhase scope(profiler, Phase::kDenseComm);
-    for (std::size_t i = 0; i < pending.count; ++i) {
-      if (pending.ops[i].pending()) {
-        pending.release_ticket = pending.ops[i].ticket();
-        pending.has_release = true;
-      }
-      pending.ops[i].wait();
-    }
+    for (std::size_t i = 0; i < pending.count; ++i) pending.ops[i].wait();
   }
   // Compressed ops time themselves (wire wait under kDenseComm, decode
-  // under kCompressPack). The size guard covers blocking mode, where
-  // ccount counts residual slots but no op was stored.
-  for (std::size_t i = 0; i < pending.ccount && i < pending.cops.size();
-       ++i) {
-    if (pending.cops[i].pending()) {
-      pending.release_ticket = pending.cops[i].ticket();
-      pending.has_release = true;
-    }
-    pending.cops[i].wait();
-  }
+  // under kCompressPack).
+  for (std::size_t i = 0; i < pending.ccount; ++i) pending.cops[i].wait();
   pending.count = 0;
   pending.ccount = 0;
 }
@@ -925,9 +775,11 @@ void begin_assemble_weight_gradient(Matrix& y_slice, Index f_in,
     const std::size_t i = pending.ccount++;
     Matrix& reduced = pending_slot(pending.reduced, i);
     reduced.resize(y_slice.rows(), y_slice.cols());
-    pending_slot(pending.cops, i) = reduce_comm.iallreduce_sum_compressed(
+    PendingCompressedReduce& op = pending_slot(pending.cops, i);
+    op = reduce_comm.iallreduce_sum_compressed(
         std::span<const Real>(y_slice.flat()), reduced.flat(), gmode,
         pending.compress_slot(i), &profiler);
+    settle(op);
     pending_slot(pending.targets, i) = &y_full;
     pending_slot(pending.dims, i) = {f_in, f_out};
     return;
@@ -941,9 +793,10 @@ void begin_assemble_weight_gradient(Matrix& y_slice, Index f_in,
             src.flat().begin());
   Matrix& reduced = pending_slot(pending.reduced, i);
   reduced.resize(y_slice.rows(), y_slice.cols());
-  pending_slot(pending.ops, i) = reduce_comm.iallreduce_sum(
-      std::span<const Real>(src.flat()), reduced.flat(),
-      CommCategory::kDense);
+  PendingOp& op = pending_slot(pending.ops, i);
+  op = reduce_comm.iallreduce_sum(std::span<const Real>(src.flat()),
+                                  reduced.flat(), CommCategory::kDense);
+  settle(op);
   pending_slot(pending.targets, i) = &y_full;
   pending_slot(pending.dims, i) = {f_in, f_out};
 }
@@ -960,27 +813,29 @@ void finish_assemble_weight_gradient(int parts, Comm& row_comm,
       pending.ops[i].wait();
       auto& gathered = pending_slot(pending.gathered, i);
       if (!gathered) gathered = std::make_unique<Gathered<Real>>();
-      pending_slot(pending.gather_ops, i) = row_comm.iallgatherv_into(
+      PendingOp& gather = pending_slot(pending.gather_ops, i);
+      gather = row_comm.iallgatherv_into(
           std::span<const Real>(pending.reduced[i].flat()), *gathered,
           CommCategory::kDense);
+      settle(gather);
     }
   }
   // Compressed layers: complete each lossy slice sum (the op times its
-  // own wait/decode) and launch its exact row gather. The size guard
-  // covers blocking mode, where ccount counts residual slots but no op
-  // was stored. Modes never mix within an epoch, so slot indices of the
-  // two families both start at 0 and never collide.
-  const std::size_t cposted = std::min(pending.ccount, pending.cops.size());
-  for (std::size_t i = 0; i < cposted; ++i) {
+  // own wait/decode) and launch its exact row gather. Modes never mix
+  // within an epoch, so slot indices of the two families both start at 0
+  // and never collide.
+  for (std::size_t i = 0; i < pending.ccount; ++i) {
     pending.cops[i].wait();
     ScopedPhase scope(profiler, Phase::kDenseComm);
     auto& gathered = pending_slot(pending.gathered, i);
     if (!gathered) gathered = std::make_unique<Gathered<Real>>();
-    pending_slot(pending.gather_ops, i) = row_comm.iallgatherv_into(
+    PendingOp& gather = pending_slot(pending.gather_ops, i);
+    gather = row_comm.iallgatherv_into(
         std::span<const Real>(pending.reduced[i].flat()), *gathered,
         CommCategory::kDense);
+    settle(gather);
   }
-  for (std::size_t i = 0; i < pending.count + cposted; ++i) {
+  for (std::size_t i = 0; i < pending.count + pending.ccount; ++i) {
     {
       ScopedPhase scope(profiler, Phase::kDenseComm);
       pending.gather_ops[i].wait();
@@ -1069,59 +924,42 @@ void build_halo_plan(const std::function<const Csr*(int)>& block_of,
 
 namespace {
 
-/// One peer drain of a pipelined halo exchange, the protocol shared by
-/// the forward and backward sweeps: provably-empty chunks are
-/// skip_source'd (no rendezvous), anything else is awaited zero-copy and
-/// size-checked against the plan; the overlap region is closed (pairing
-/// the drained charges with the compute that just ran) and reopened for
-/// the next stage. Blocking mode reads the already-exchanged chunk from
-/// plan.recv. Under a lossy row codec (`rmode` != off) the wire carries
-/// codec bytes — size-checked against encoded_size_bytes and decoded
-/// into `decode_dst` (Phase::kCompressPack); both modes decode the same
-/// bytes, so the sweeps stay bitwise identical across overlap modes.
-/// Returns the peer's rows, or nullptr when nothing landed.
-const Real* drain_halo_peer(PendingOp& op, const HaloPlan& plan, int peer,
-                            std::size_t expected_elems, bool pipelined,
-                            CompressMode rmode, Real* decode_dst,
-                            OverlapScope& region, Profiler& profiler) {
+/// One peer drain of a halo exchange, the protocol shared by the forward
+/// and backward sweeps: provably-empty chunks are skip_source'd (no
+/// rendezvous), anything else is awaited zero-copy and size-checked
+/// against the plan; the overlap region is closed (pairing the drained
+/// charges with the compute that just ran) and reopened for the next
+/// stage. Under a lossy row codec (`rmode` != off) the wire carries codec
+/// bytes — size-checked against encoded_size_bytes and decoded into
+/// `decode_dst` (Phase::kCompressPack). Returns the peer's rows, or
+/// nullptr when nothing landed.
+const Real* drain_halo_peer(PendingOp& op, int peer,
+                            std::size_t expected_elems, CompressMode rmode,
+                            Real* decode_dst, OverlapScope& region,
+                            Profiler& profiler) {
   const std::uint8_t* bytes = nullptr;
-  if (!pipelined) {
-    if (rmode == CompressMode::kOff) {
-      return plan.recv.data.data() +
-             plan.recv.offsets[static_cast<std::size_t>(peer)];
+  const Real* exact_rows = nullptr;
+  {
+    ScopedPhase scope(profiler, Phase::kDenseComm);
+    if (expected_elems == 0) {
+      op.skip_source(peer);
+    } else if (rmode == CompressMode::kOff) {
+      const std::span<const Real> chunk = op.await_source<Real>(peer);
+      CAGNET_CHECK(chunk.size() == expected_elems,
+                   "halo drain: unexpected chunk size");
+      exact_rows = chunk.data();
+    } else {
+      const std::span<const std::uint8_t> chunk =
+          op.await_source<std::uint8_t>(peer);
+      CAGNET_CHECK(chunk.size() == encoded_size_bytes(rmode, expected_elems),
+                   "halo drain: unexpected compressed chunk size");
+      bytes = chunk.data();
     }
-    const std::size_t b0 =
-        plan.recv_bytes.offsets[static_cast<std::size_t>(peer)];
-    const std::size_t b1 =
-        plan.recv_bytes.offsets[static_cast<std::size_t>(peer) + 1];
-    CAGNET_CHECK(b1 - b0 == encoded_size_bytes(rmode, expected_elems),
-                 "halo drain: unexpected compressed chunk size");
-    bytes = plan.recv_bytes.data.data() + b0;
-  } else {
-    const Real* exact_rows = nullptr;
-    {
-      ScopedPhase scope(profiler, Phase::kDenseComm);
-      if (expected_elems == 0) {
-        op.skip_source(peer);
-      } else if (rmode == CompressMode::kOff) {
-        const std::span<const Real> chunk = op.await_source<Real>(peer);
-        CAGNET_CHECK(chunk.size() == expected_elems,
-                     "halo drain: unexpected chunk size");
-        exact_rows = chunk.data();
-      } else {
-        const std::span<const std::uint8_t> chunk =
-            op.await_source<std::uint8_t>(peer);
-        CAGNET_CHECK(
-            chunk.size() == encoded_size_bytes(rmode, expected_elems),
-            "halo drain: unexpected compressed chunk size");
-        bytes = chunk.data();
-      }
-    }
-    region.close();
-    region.open();
-    if (rmode == CompressMode::kOff) return exact_rows;
   }
-  if (expected_elems == 0 || bytes == nullptr) return nullptr;
+  region.close();
+  region.open();
+  if (rmode == CompressMode::kOff) return exact_rows;
+  if (bytes == nullptr) return nullptr;
   ScopedPhase scope(profiler, Phase::kCompressPack);
   compress_decode(rmode, bytes, expected_elems, decode_dst);
   return decode_dst;
@@ -1581,61 +1419,43 @@ PendingOp halo_exchange_begin(const Matrix& src, std::span<const Index> rows,
     // destination encoding guarantees) and ship the byte buffer instead.
     // No error feedback — halo rows are fresh activations each layer, not
     // an accumulating signal, so a residual would mix unrelated rows.
-    {
-      ScopedPhase scope(profiler, Phase::kCompressPack);
-      buf.send_byte_offsets.resize(static_cast<std::size_t>(p) + 1);
-      buf.send_byte_offsets[0] = 0;
-      for (std::size_t j = 0; j < static_cast<std::size_t>(p); ++j) {
-        const std::size_t elems =
-            buf.send_elem_offsets[j + 1] - buf.send_elem_offsets[j];
-        buf.send_byte_offsets[j + 1] =
-            buf.send_byte_offsets[j] + encoded_size_bytes(rmode, elems);
-      }
-      buf.send_bytes.resize(
-          buf.send_byte_offsets[static_cast<std::size_t>(p)]);
-      for (std::size_t j = 0; j < static_cast<std::size_t>(p); ++j) {
-        const std::size_t e0 = buf.send_elem_offsets[j];
-        const std::size_t e1 = buf.send_elem_offsets[j + 1];
-        if (e0 == e1) continue;
-        compress_encode(
-            rmode,
-            std::span<const Real>(buf.send_buf.data() + e0, e1 - e0),
-            buf.send_bytes.data() + buf.send_byte_offsets[j],
-            /*residual=*/nullptr);
-      }
+    ScopedPhase scope(profiler, Phase::kCompressPack);
+    buf.send_byte_offsets.resize(static_cast<std::size_t>(p) + 1);
+    buf.send_byte_offsets[0] = 0;
+    for (std::size_t j = 0; j < static_cast<std::size_t>(p); ++j) {
+      const std::size_t elems =
+          buf.send_elem_offsets[j + 1] - buf.send_elem_offsets[j];
+      buf.send_byte_offsets[j + 1] =
+          buf.send_byte_offsets[j] + encoded_size_bytes(rmode, elems);
     }
-    ScopedPhase scope(profiler, Phase::kDenseComm);
-    if (overlap_enabled()) {
-      PendingOp op = comm.ialltoallv_post(
-          std::span<const std::uint8_t>(buf.send_bytes),
-          std::span<const std::size_t>(buf.send_byte_offsets),
-          CommCategory::kCompressed);
-      buf.release_ticket = op.ticket();
-      buf.has_release = true;
-      return op;
+    buf.send_bytes.resize(buf.send_byte_offsets[static_cast<std::size_t>(p)]);
+    for (std::size_t j = 0; j < static_cast<std::size_t>(p); ++j) {
+      const std::size_t e0 = buf.send_elem_offsets[j];
+      const std::size_t e1 = buf.send_elem_offsets[j + 1];
+      if (e0 == e1) continue;
+      compress_encode(
+          rmode, std::span<const Real>(buf.send_buf.data() + e0, e1 - e0),
+          buf.send_bytes.data() + buf.send_byte_offsets[j],
+          /*residual=*/nullptr);
     }
-    comm.alltoallv_into(std::span<const std::uint8_t>(buf.send_bytes),
-                        std::span<const std::size_t>(buf.send_byte_offsets),
-                        plan.recv_bytes, CommCategory::kCompressed);
-    return PendingOp{};
   }
+  // Post-only: the caller drains each peer's chunk exactly when the stage
+  // that consumes it runs, and wait()s the op once all stages are done.
+  // Charges (applied per drain) sum bitwise to the blocking alltoallv's.
   ScopedPhase scope(profiler, Phase::kDenseComm);
-  if (overlap_enabled()) {
-    // Post-only: the caller drains each peer's chunk exactly when the
-    // stage that consumes it runs, and wait()s the op once all stages are
-    // done. Charges (applied per drain) sum bitwise to the blocking
-    // form's.
-    PendingOp op = comm.ialltoallv_post(
-        std::span<const Real>(buf.send_buf.flat()),
-        std::span<const std::size_t>(buf.send_elem_offsets), cat);
-    buf.release_ticket = op.ticket();
-    buf.has_release = true;
-    return op;
-  }
-  comm.alltoallv_into(std::span<const Real>(buf.send_buf.flat()),
-                      std::span<const std::size_t>(buf.send_elem_offsets),
-                      plan.recv, cat);
-  return PendingOp{};
+  PendingOp op =
+      rmode != CompressMode::kOff
+          ? comm.ialltoallv_post(
+                std::span<const std::uint8_t>(buf.send_bytes),
+                std::span<const std::size_t>(buf.send_byte_offsets),
+                CommCategory::kCompressed)
+          : comm.ialltoallv_post(
+                std::span<const Real>(buf.send_buf.flat()),
+                std::span<const std::size_t>(buf.send_elem_offsets), cat);
+  buf.release_ticket = op.ticket();
+  buf.has_release = true;
+  settle(op);
+  return op;
 }
 
 void halo_spmm_pipeline(const Matrix& h, const Csr* self_block, int self,
@@ -1684,7 +1504,6 @@ void halo_spmm_sweep(PendingOp& op, const Matrix& h, const Csr* self_block,
                      Matrix& t) {
   const int p = comm.size();
   const Index f = h.cols();
-  const bool pipelined = op.pending();
   HaloPlan::StaleState& st = plan.stale;
   const bool stale_on = st.active;
   const bool adaptive = stale_on && stale_k() == kStaleAdaptive;
@@ -1721,7 +1540,7 @@ void halo_spmm_sweep(PendingOp& op, const Matrix& h, const Csr* self_block,
   // SpMM is the pipeline's headline overlap, so the region opens before
   // the sweep.
   OverlapScope region(comm.meter(), stats.work, machine);
-  if (pipelined) region.open();
+  region.open();
   for (int j = 0; j < p; ++j) {
     const auto js = static_cast<std::size_t>(j);
     if (j == self) {
@@ -1740,14 +1559,12 @@ void halo_spmm_sweep(PendingOp& op, const Matrix& h, const Csr* self_block,
       // lockstep; the peer shipped a zero-length chunk by the same
       // want-flag) and replay the cached landed rows through the
       // identical accumulation, crediting the avoided exact words.
-      if (pipelined) {
-        {
-          ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-          op.skip_source(j);
-        }
-        region.close();
-        region.open();
+      {
+        ScopedPhase scope(stats.profiler, Phase::kDenseComm);
+        op.skip_source(j);
       }
+      region.close();
+      region.open();
       if (base_rows == 0) continue;
       comm.notify_event(CommCategory::kHalo, "halo stale skip");
       comm.meter().add_stale_saved(static_cast<double>(base_rows) *
@@ -1764,9 +1581,8 @@ void halo_spmm_sweep(PendingOp& op, const Matrix& h, const Csr* self_block,
             ? nullptr
             : plan.recv_decode.data() +
                   roff[js] * static_cast<std::size_t>(f);
-    const Real* rows_j = drain_halo_peer(op, plan, j, expect, pipelined,
-                                         rmode, decode_dst, region,
-                                         stats.profiler);
+    const Real* rows_j = drain_halo_peer(op, j, expect, rmode, decode_dst,
+                                         region, stats.profiler);
     if (stale_on && expect > 0 && rows_j != nullptr) {
       // Refresh this peer's cache slice (and, in adaptive mode, fold the
       // serial L2 delta against the old slice before overwriting it —
@@ -1797,10 +1613,8 @@ void halo_spmm_sweep(PendingOp& op, const Matrix& h, const Csr* self_block,
     halo_accumulate_peer(plan, j, rows_j, f, machine, stats, t);
   }
   region.close();
-  if (pipelined) {
-    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    op.wait();  // every source drained; this just releases the channel
-  }
+  ScopedPhase scope(stats.profiler, Phase::kDenseComm);
+  op.wait();  // every source drained; this just releases the channel
 }
 
 void halo_exchange_contributions(
@@ -1814,7 +1628,6 @@ void halo_exchange_contributions(
                                      comm, plan, cat, stats.profiler);
   const int p = comm.size();
   const Index f = partial.cols();
-  const bool pipelined = op.pending();
   const CompressMode rmode =
       p > 1 ? row_compress_mode() : CompressMode::kOff;
   // A rank that accumulates nothing (a 1.5D non-keeper: no self term and
@@ -1824,13 +1637,11 @@ void halo_exchange_contributions(
   if (!self_partial &&
       land_row_offsets[static_cast<std::size_t>(p)] ==
           land_row_offsets[0]) {
-    if (pipelined) {
-      ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-      for (int r = 0; r < p; ++r) {
-        if (r != self) op.skip_source(r);
-      }
-      op.wait();
+    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
+    for (int r = 0; r < p; ++r) {
+      if (r != self) op.skip_source(r);
     }
+    op.wait();
     return;
   }
   {
@@ -1849,7 +1660,7 @@ void halo_exchange_contributions(
   // so the first drain's charges pair with the accumulation that
   // precedes it.
   OverlapScope region(comm.meter(), stats.work, machine);
-  if (pipelined) region.open();
+  region.open();
   for (int r = 0; r < p; ++r) {
     if (r == self) {
       if (self_partial) {
@@ -1873,9 +1684,8 @@ void halo_exchange_contributions(
             ? nullptr
             : plan.recv_decode.data() + k0 * static_cast<std::size_t>(f);
     const Real* src =
-        drain_halo_peer(op, plan, r, (k1 - k0) * static_cast<std::size_t>(f),
-                        pipelined, rmode, decode_dst, region,
-                        stats.profiler);
+        drain_halo_peer(op, r, (k1 - k0) * static_cast<std::size_t>(f), rmode,
+                        decode_dst, region, stats.profiler);
     if (k0 == k1) continue;
     // Scatter-add this peer's landed rows (distinct within a peer, so
     // row chunks write disjoint outputs and threading is deterministic).
@@ -1895,10 +1705,8 @@ void halo_exchange_contributions(
         });
   }
   region.close();
-  if (pipelined) {
-    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    op.wait();  // every source drained; this just releases the channel
-  }
+  ScopedPhase scope(stats.profiler, Phase::kDenseComm);
+  op.wait();  // every source drained; this just releases the channel
 }
 
 Csr route_csr(const Csr& mine, int dest, Comm& comm, CommCategory cat) {

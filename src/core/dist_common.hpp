@@ -157,15 +157,28 @@ void set_epoch_cache_enabled(bool on);
 
 /// Process-global switch for compute/communication overlap (default on;
 /// the CAGNET_OVERLAP env var, read once at startup, can preset it — "0",
-/// "off", or "false" disable). When on, the SUMMA-style loops
-/// double-buffer their stage broadcasts through the nonblocking layer and
-/// the 1.5D replica reduction is overlapped with the next local multiply.
-/// Losses, embeddings, and metered words/latency are bitwise identical in
-/// both modes (tests/dist_test.cpp asserts it); only wall time and the
-/// overlap accounting change. Not per-trainer state: flip it only between
+/// "off", or "false" disable). The algebras run one code path: the
+/// SUMMA-style loops double-buffer their stage broadcasts through the
+/// nonblocking layer, and the 1.5D replica reduction and the gradient
+/// reductions are deferred behind later compute. Off means every posted
+/// op is waited at its post (settle), so nothing is in flight behind
+/// compute and no overlap region is recorded. Losses, embeddings, and
+/// metered words/latency are bitwise identical in both modes
+/// (tests/dist_test.cpp asserts it); only wall time and the overlap
+/// accounting change. Not per-trainer state: flip it only between
 /// run_world invocations.
 bool overlap_enabled();
 void set_overlap_enabled(bool on);
+
+/// The one place the algebras apply CAGNET_OVERLAP to a posted op: with
+/// overlap off, complete `op` right at its post. An ordinary op is waited
+/// through a local handle, leaving `op` empty (its ticket() still names
+/// the op), so the caller's later wait() is the no-op of an empty handle;
+/// a per-source drain (ialltoallv_post) lands every source
+/// (PendingOp::await_all_sources) and stays pending for the caller's
+/// drains and final wait(). With overlap on, does nothing.
+void settle(PendingOp& op);
+void settle(PendingCompressedReduce& op);
 
 /// Process-global switch for the sparsity-aware halo exchange of the 1D /
 /// 1.5D families (default off; the CAGNET_HALO env var, read once at
@@ -319,17 +332,17 @@ void drain_comm(const Comm& comm) noexcept;
 ///      mirrored — contributions travel along need-rows and land on
 ///      send-rows. Nothing is rebuilt; the staging buffers are reused
 ///      allocation-free.
-///   3. *Pipeline + release*: in overlap mode the exchange posts through
-///      ialltoallv_post and each peer's rows are drained — zero-copy,
-///      straight from the peer's pack buffer — exactly when the stage
-///      that multiplies them runs (PendingOp::await_source), so the
-///      self-block SpMM and every earlier stage execute while later
-///      peers' rows are still in flight. Pack staging is double-buffered:
-///      exchange k packs into buffer k % 2 after quiescing the op that
-///      used that buffer two exchanges ago (quiesce_op) — a release peers
-///      finished a whole layer earlier, off the critical path. Blocking
-///      mode needs no release (barrier phases separate the accesses) and
-///      keeps the one-shot alltoallv_into.
+///   3. *Pipeline + release*: the exchange posts through ialltoallv_post
+///      and each peer's rows are drained — zero-copy, straight from the
+///      peer's pack buffer — exactly when the stage that multiplies them
+///      runs (PendingOp::await_source), so the self-block SpMM and every
+///      earlier stage execute while later peers' rows are still in
+///      flight. With overlap off the post lands every source at once
+///      (settle) and the same sweep reads the landed views. Pack staging
+///      is double-buffered: exchange k packs into buffer k % 2 after
+///      quiescing the op that used that buffer two exchanges ago
+///      (quiesce_op) — a release peers finished a whole layer earlier,
+///      off the critical path.
 struct HaloPlan {
   bool ready = false;
   /// Forward receives: rows obtained from each source, ascending peer
@@ -365,8 +378,6 @@ struct HaloPlan {
   };
   std::array<PackBuf, 2> pack;
   int next_pack = 0;          ///< which PackBuf the next exchange claims
-  Gathered<Real> recv;        ///< blocking-mode receive staging
-  Gathered<std::uint8_t> recv_bytes;  ///< compressed blocking staging
   /// Decode target for compressed halo rows: the forward decodes each
   /// peer's chunk at recv_row_offsets[j]*f; the backward at
   /// land_row_offsets[r]*f. Sized by the caller before the sweep.
@@ -498,11 +509,10 @@ bool halo_backward_profitable(std::size_t landed_rows, double rs_rows,
 /// the op that last used it — two exchanges stale, so the release has
 /// left the critical path), pack the rows of `src` listed in (`rows`,
 /// `row_offsets`) on the persistent pool (Phase::kHaloPack), and ship
-/// them. In overlap mode the exchange is posted through ialltoallv_post
-/// and the returned pending op is the drain handle (per-source zero-copy
-/// views; the caller must wait() it after draining). In blocking mode the
-/// exchange completes here into plan.recv and the returned op is empty.
-/// Charges are identical either way, applied to `cat`.
+/// them through ialltoallv_post (settled: with overlap off every source
+/// lands here). The returned pending op is the drain handle (per-source
+/// zero-copy views; the caller must wait() it after draining). Charges
+/// are identical either way, applied to `cat`.
 PendingOp halo_exchange_begin(const Matrix& src, std::span<const Index> rows,
                               std::span<const std::size_t> row_offsets,
                               Comm& comm, HaloPlan& plan, CommCategory cat,
@@ -526,13 +536,12 @@ void halo_spmm_pipeline(const Matrix& h, const Csr* self_block, int self,
                         Matrix& t);
 
 /// The stage sweep of halo_spmm_pipeline alone, against an exchange the
-/// caller already began (`op` from halo_exchange_begin on the same plan;
-/// empty in blocking mode, where the rows sit in plan.recv). Splitting
-/// the begin from the sweep lets the sampled minibatch trainer post the
-/// next batch's feature exchange a whole compute phase early while
-/// keeping the drain/accumulation discipline — ascending peer order,
-/// per-source zero-copy drains, one overlap region per stage — in one
-/// place. halo_spmm_pipeline is exactly begin + this sweep.
+/// caller already began (`op` from halo_exchange_begin on the same plan).
+/// Splitting the begin from the sweep lets the sampled minibatch trainer
+/// post the next batch's feature exchange a whole compute phase early
+/// while keeping the drain/accumulation discipline — ascending peer
+/// order, per-source zero-copy drains, one overlap region per stage — in
+/// one place. halo_spmm_pipeline is exactly begin + this sweep.
 void halo_spmm_sweep(PendingOp& op, const Matrix& h, const Csr* self_block,
                      int self, Comm& comm, HaloPlan& plan,
                      const MachineModel& machine, EpochStats& stats,
@@ -547,9 +556,9 @@ void halo_spmm_sweep(PendingOp& op, const Matrix& h, const Csr* self_block,
 /// keepers); remote peers' landed rows scatter-add onto `land_rows`
 /// (chunked by `land_row_offsets`), threaded on the pool — rows within a
 /// peer are distinct, so chunked writes stay disjoint and deterministic.
-/// Overlap mode drains per peer with the same chunk-drain overlap
-/// accounting as the forward. Shared by the 1D (full plan mirror) and
-/// 1.5D (stripe-stacked pack rows) backwards.
+/// Drains per peer with the same chunk-drain overlap accounting as the
+/// forward. Shared by the 1D (full plan mirror) and 1.5D (stripe-stacked
+/// pack rows) backwards.
 void halo_exchange_contributions(
     const Matrix& partial, std::span<const Index> pack_rows,
     std::span<const std::size_t> pack_row_offsets, bool self_partial,
@@ -560,15 +569,11 @@ void halo_exchange_contributions(
 
 /// Global mean NLL loss and accuracy from a local row block of output
 /// log-probabilities. `row_lo` is the first global row of the block.
-/// Reduces (loss_sum, hits, labeled) across ranks as control traffic.
-/// In overlap mode pass `scratch` — persistent storage (e.g. engine-owned)
-/// for the nonblocking reduction's (src, dst) pairs — and quiesce `comm`
-/// before the next call overwrites it; with scratch == nullptr the
-/// reduction is the blocking all-reduce. Charges are identical.
+/// Reduces (loss_sum, hits) across ranks as control traffic (one blocking
+/// all-reduce).
 EpochResult reduce_loss_accuracy(const Matrix& local_log_probs, Index row_lo,
                                  const std::vector<Index>& labels,
-                                 Index labeled_count, Comm& comm,
-                                 std::array<double, 4>* scratch = nullptr);
+                                 Index labeled_count, Comm& comm);
 
 /// dL/d(H^L) for the local row block under global-mean NLL.
 Matrix local_nll_gradient(const Matrix& local_log_probs, Index row_lo,
@@ -578,30 +583,14 @@ Matrix local_nll_gradient(const Matrix& local_log_probs, Index row_lo,
 /// Average degree of a CSR block (nnz / rows), guarding empty blocks.
 double block_degree(const Csr& block);
 
-/// Broadcast a CSR block from `root` within `comm` without staging
-/// copies: the root publishes straight from `mine`'s arrays and returns
-/// `mine`; every other rank receives into `recv` (reusing its buffers,
-/// non-roots pass nullptr for `mine`) and returns `&recv`. Traffic
-/// (indices + values) is charged to `cat`; this is the SUMMA
-/// sparse-broadcast primitive.
-const Csr* broadcast_csr(const Csr* mine, Csr& recv, int root, Comm& comm,
-                         CommCategory cat);
-
 /// One dense SUMMA broadcast stage without staging copies: the stage root
-/// (comm rank `root`) publishes `mine` directly and returns it; every
-/// other rank receives a (rows x cols) block into `recv` (storage reused)
-/// and gets `&recv`. Shared by every dense broadcast loop (1D stages,
-/// 1.5D stripes, 2D/3D SUMMA stages, partial SUMMA).
-const Matrix* broadcast_dense_stage(const Matrix& mine, Matrix& recv,
-                                    Index rows, Index cols, int root,
-                                    Comm& comm, CommCategory cat);
-
-/// Nonblocking counterpart of broadcast_dense_stage: post() ships the
-/// stage without a staging copy and without blocking; wait() completes the
-/// receive and returns the usable block (the root's own `mine`, or
-/// `recv`). Charges are identical to the blocking form, applied at wait.
-/// `mine` (root) and `recv` (everyone else) must stay valid and unmodified
-/// until every rank of `comm` has waited.
+/// (comm rank `root`) publishes `mine` directly; every other rank receives
+/// a (rows x cols) block into `recv` (storage reused). post() ships the
+/// stage without blocking (settled); wait() completes the receive and
+/// returns the usable block (the root's own `mine`, or `recv`). `mine`
+/// (root) and `recv` (everyone else) must stay valid and unmodified until
+/// every rank of `comm` has waited. Shared by every dense broadcast loop
+/// (1D stages, 1.5D stripes, 2D/3D SUMMA stages, partial SUMMA).
 class PendingDenseStage {
  public:
   void post(const Matrix& mine, Matrix& recv, Index rows, Index cols,
@@ -613,15 +602,17 @@ class PendingDenseStage {
   const Matrix* result_ = nullptr;
 };
 
-/// Nonblocking counterpart of broadcast_csr, pipelined in two steps
+/// Broadcast of a CSR block from `root` without staging copies (the root
+/// publishes straight from its block's arrays), pipelined in two steps
 /// because the receivers cannot size their buffers until the (rows, cols,
 /// nnz) header lands: post_header() ships the header; post_parts() —
 /// which first completes the header — sizes `recv` and posts the
 /// row_ptr/col_idx/values payloads; wait() completes them and returns the
 /// usable block (the root's `mine`, or `recv`). The SUMMA loops post the
 /// header two stages ahead and the payloads one stage ahead, so the bulk
-/// arrays are always in flight behind a whole local SpMM. Charges are
-/// identical to broadcast_csr, applied as each piece is waited.
+/// arrays are in flight behind a whole local SpMM. Every post is settled;
+/// the traffic (indices + values) is charged to `cat` as each piece
+/// completes.
 class PendingCsrBcast {
  public:
   /// `mine` non-null exactly on the root; `recv` is the receive block
@@ -657,17 +648,24 @@ class PendingCsrBcast {
 /// The loops call close() right after the waits of stage k+1 (whose
 /// charges are the comm that was in flight) and open() right before the
 /// stage-k+1 compute, so each region is exactly one stage of overlap.
+/// Records nothing with overlap off (every op was settled at its post, so
+/// nothing was in flight) or when the caller says the loop has nothing
+/// to overlap (`pipelined` false: a single stage).
 class OverlapScope {
  public:
   OverlapScope(CostMeter& meter, const WorkMeter& work,
-               const MachineModel& machine)
-      : meter_(meter), work_(work), machine_(machine) {}
+               const MachineModel& machine, bool pipelined = true)
+      : meter_(meter),
+        work_(work),
+        machine_(machine),
+        active_(pipelined && overlap_enabled()) {}
   ~OverlapScope() { close(); }
 
   OverlapScope(const OverlapScope&) = delete;
   OverlapScope& operator=(const OverlapScope&) = delete;
 
   void open() {
+    if (!active_) return;
     meter_.begin_overlap_region();
     work_mark_ = work_.total_seconds();
     open_ = true;
@@ -682,6 +680,7 @@ class OverlapScope {
   CostMeter& meter_;
   const WorkMeter& work_;
   MachineModel machine_;
+  bool active_;
   double work_mark_ = 0;
   bool open_ = false;
 };
@@ -709,31 +708,18 @@ void overlapped_dense_stages(
 /// (kSparse; received into and cached by `cache`, replayed from it in
 /// cached epochs) and the stage-root's dense block — (stage_rows(s) x
 /// my_dense.cols()), root s — travels along `dense_comm` (kDense); the
-/// local SpMM accumulates into `acc`. With overlap enabled, stage s+1's
-/// sparse payloads and dense panel are posted through the nonblocking
-/// layer before stage s's SpMM runs (the CSR header travels two stages
-/// ahead), cached blocks are served from the same buffers the prefetch
-/// lands in, and every stage is recorded as one overlap region. Metered
-/// charges are identical in both modes, in the same per-category order.
+/// local SpMM accumulates into `acc`. Stage s+1's sparse payloads and
+/// dense panel are posted through the nonblocking layer before stage s's
+/// SpMM runs (the CSR header travels two stages ahead), cached blocks are
+/// served from the same buffers the prefetch lands in, and every stage is
+/// recorded as one overlap region. Metered charges are identical with
+/// overlap on or off.
 void summa_stage_loop(const Csr& my_sparse, SparseStageCache& cache,
                       Comm& sparse_comm, const Matrix& my_dense,
                       Comm& dense_comm,
                       const std::function<Index(int)>& stage_rows,
                       int stages, Matrix& acc, const MachineModel& machine,
                       EpochStats& stats, DistWorkspace& ws);
-
-struct PendingGradReduce;
-
-/// Complete a rows-whole weight gradient: move the (f_in x f_out) local
-/// partial into `y_full` (buffer swap, no copy) and all-reduce it over
-/// `comm`, leaving Y replicated. Shared by the 1D and 1.5D algebras.
-/// Under CAGNET_COMPRESS != off the all-reduce runs through the lossy
-/// codec with error feedback; `pending` owns the per-layer residual
-/// stores (layer order is the call order within an epoch, so each
-/// layer's residual is continuous across epochs).
-void allreduce_weight_gradient(Matrix& y_partial, Index f_in, Index f_out,
-                               Comm& comm, Profiler& profiler,
-                               PendingGradReduce& pending, Matrix& y_full);
 
 /// Pairwise CSR exchange with `peer` (the distributed-transpose primitive:
 /// rank (i,j) swaps blocks with rank (j,i) and locally transposes).
@@ -751,22 +737,12 @@ void allgather_feature_rows(const Matrix& local, Index full_cols, int parts,
                             Comm& row_comm, Profiler& profiler,
                             DistWorkspace& ws, Matrix& full);
 
-/// Complete a weight gradient from per-rank slice partials: sum `y_slice`
-/// (a feat_slice(f_in) x f_out partial, consumed as scratch) over
-/// `reduce_comm`, then all-gather the reduced slices along `row_comm`
-/// (`parts` ranks, rank j holding block_range(f_in, parts, j)) into the
-/// fully replicated (f_in x f_out) gradient `y` (storage reused). Shared
-/// by the 2D and 3D families.
-void assemble_weight_gradient(Matrix& y_slice, Index f_in, Index f_out,
-                              int parts, Comm& reduce_comm, Comm& row_comm,
-                              Profiler& profiler, DistWorkspace& ws,
-                              PendingGradReduce& pending, Matrix& y);
-
-/// Per-epoch state of the deferred (overlap-mode) gradient reductions:
-/// one entry per layer, all storage reused across epochs. The begin_/
-/// finish_ helpers below implement DistSpmmAlgebra::begin_reduce_gradients
-/// / finish_gradients for the two layout families, so the reductions are
-/// in flight behind the remaining backward layers.
+/// Per-epoch state of the deferred gradient reductions: one entry per
+/// layer, all storage reused across epochs. The begin_/finish_ helpers
+/// below implement DistSpmmAlgebra::begin_reduce_gradients /
+/// finish_gradients for the two layout families, so the reductions are in
+/// flight behind the remaining backward layers (settled at their posts
+/// with overlap off).
 struct PendingGradReduce {
   std::vector<Matrix> src;                 ///< staged partials (per layer)
   std::vector<Matrix> reduced;             ///< slice-family reduce targets
@@ -786,7 +762,7 @@ struct PendingGradReduce {
   std::vector<PendingCompressedReduce> cops;  ///< in-flight compressed ops
   std::size_t ccount = 0;                  ///< compressed layers posted
   /// Targeted release of the previous cycle's staged sends: the ticket of
-  /// the last op waited at finish. Every rank waits its cycle's ops in
+  /// the cycle's last posted op. Every rank waits its cycle's ops in
   /// posting order, so that op being globally finished implies every
   /// rank's reads of every staged src / encoded send of the cycle are
   /// done. quiesce_op on it at the next cycle's first begin releases the
@@ -809,8 +785,9 @@ struct PendingGradReduce {
 
 /// Rows-whole family (1D / 1.5D) deferred gradient reduction: stage a
 /// copy of `y_partial` (releasing it immediately) and post its
-/// nonblocking all-reduce straight into `y_full`; the finish form waits
-/// every posted op. Charges are identical to allreduce_weight_gradient.
+/// nonblocking all-reduce over `comm` straight into `y_full` (lossy-coded
+/// with error feedback under CAGNET_COMPRESS != off; `pending` owns the
+/// per-layer residual stores); the finish form waits every posted op.
 void begin_allreduce_weight_gradient(Matrix& y_partial, Index f_in,
                                      Index f_out, Comm& comm,
                                      Profiler& profiler,
@@ -820,10 +797,11 @@ void finish_allreduce_weight_gradient(Profiler& profiler,
                                       PendingGradReduce& pending);
 
 /// Slice family (2D / 3D) deferred gradient assembly: stage a copy of
-/// `y_slice` and post its nonblocking sum over `reduce_comm`; the finish
-/// form completes each reduction, all-gathers the reduced slices along
-/// `row_comm`, and unpacks into the recorded y_full targets. Charges are
-/// identical to assemble_weight_gradient.
+/// `y_slice` (a feat_slice(f_in) x f_out partial) and post its
+/// nonblocking sum over `reduce_comm`; the finish form completes each
+/// reduction, all-gathers the reduced slices along `row_comm` (`parts`
+/// ranks, rank j holding block_range(f_in, parts, j)), and unpacks into
+/// the recorded, fully replicated (f_in x f_out) y_full targets.
 void begin_assemble_weight_gradient(Matrix& y_slice, Index f_in,
                                     Index f_out, Comm& reduce_comm,
                                     Profiler& profiler,

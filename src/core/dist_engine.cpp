@@ -45,8 +45,8 @@ Matrix DistSpmmAlgebra::gather_output(const Matrix& output_rows, Index n) {
 
 DistEngine::~DistEngine() {
   if (algebra_ == nullptr) return;
-  // Peers may still be reading this engine's loss scratch (world) or the
-  // algebra's broadcast sources; release both before the buffers die.
+  // Peers may still be reading the algebra's broadcast sources (on its
+  // sub-communicators or the world); release them before the buffers die.
   algebra_->drain();
   dist::drain_comm(algebra_->world());
 }
@@ -247,14 +247,6 @@ EpochResult DistEngine::train_epoch() {
   const CostMeter before = world.meter();
   stats_ = EpochStats{};
 
-  const bool overlap = dist::overlap_enabled() && world.size() > 1;
-  if (overlap) {
-    // Release point for the previous epoch's nonblocking loss reduction:
-    // peers read this rank's loss scratch at their waits, and it is
-    // rewritten below. A handful of atomic loads when already drained.
-    world.quiesce();
-  }
-
   // Arm the algebra's adaptive-rate state (bounded-staleness halo
   // refresh) for this epoch. No-op unless CAGNET_STALE selects a lossy
   // mode; collective in adaptive mode, so it runs in lockstep here.
@@ -266,8 +258,7 @@ EpochResult DistEngine::train_epoch() {
   const Matrix empty(0, config_.dims.back());
   stats_.result = dist::reduce_loss_accuracy(
       algebra_->owns_loss_rows() ? output_rows_ : empty, algebra_->row_lo(),
-      problem_.graph->labels, problem_.labeled_count, world,
-      overlap ? &loss_scratch_ : nullptr);
+      problem_.graph->labels, problem_.labeled_count, world);
   backward();
   step();
 

@@ -133,30 +133,31 @@ class DistSpmmAlgebra {
                                    Matrix& full, EpochStats& stats);
 
   /// Complete the weight gradient Y^l = (H^(l-1))^T (A G^l): `y_partial`
-  /// is this rank's partial (feat_slice(f_in) width x f_out), consumed as
-  /// reduction scratch; `y_full` receives the fully replicated
-  /// (f_in x f_out) gradient on every rank. Collective; charges kDense
-  /// for the all-reduce (and, 2D/3D, the slice all-gather).
+  /// is this rank's partial (feat_slice(f_in) width x f_out); `y_full`
+  /// receives the fully replicated (f_in x f_out) gradient on every rank.
+  /// Collective; charges kDense for the all-reduce (and, 2D/3D, the slice
+  /// all-gather). The synchronous form: begin + finish, so it must not be
+  /// called while other layers' reductions are still begun.
   virtual void reduce_gradients(Matrix& y_partial, Index f_in, Index f_out,
-                                Matrix& y_full, EpochStats& stats) = 0;
+                                Matrix& y_full, EpochStats& stats) {
+    begin_reduce_gradients(y_partial, f_in, f_out, y_full, stats);
+    finish_gradients(stats);
+  }
 
-  /// Overlap-mode split of reduce_gradients: begin posts the reduction of
-  /// this layer's partial through the nonblocking layer (staging a copy,
-  /// so `y_partial` is released immediately) and returns; finish — called
+  /// reduce_gradients split in two: begin posts the reduction of this
+  /// layer's partial through the nonblocking layer (staging a copy, so
+  /// `y_partial` is released immediately) and returns; finish — called
   /// once per epoch, after the backward recurrence — completes every
   /// posted reduction into its `y_full`. The reductions are therefore in
-  /// flight behind the remaining backward layers' compute. Charges are
-  /// identical to reduce_gradients (every charge value is an integer
+  /// flight behind the remaining backward layers' compute (with overlap
+  /// off each is settled at its post). Every charge value is an integer
   /// count of bytes over the 8-byte word — an exactly-representable
   /// dyadic — so per-category sums are order-independent and bitwise
-  /// equal). Default: synchronous fallback (begin == reduce_gradients,
-  /// finish == no-op), which is also the blocking-mode behavior.
+  /// equal in both modes.
   virtual void begin_reduce_gradients(Matrix& y_partial, Index f_in,
                                       Index f_out, Matrix& y_full,
-                                      EpochStats& stats) {
-    reduce_gradients(y_partial, f_in, f_out, y_full, stats);
-  }
-  virtual void finish_gradients(EpochStats& stats) { (void)stats; }
+                                      EpochStats& stats) = 0;
+  virtual void finish_gradients(EpochStats& stats) = 0;
 
   /// Assemble the full (n x f) output on every rank from the full-row local
   /// output block (parity tests and inference). Default: rank-ordered
@@ -293,10 +294,6 @@ class DistEngine : public DistTrainer {
   Matrix dh_buf_;      ///< U (W^l)^T before the ReLU mask
   Matrix y_buf_;       ///< weight-gradient slice partial
   Matrix w_rows_buf_;  ///< feat-sliced rows of W for the G recurrence
-
-  /// Persistent (src, dst) pairs of the overlap-mode nonblocking loss
-  /// reduction; released by the quiesce at the next epoch's start.
-  std::array<double, 4> loss_scratch_ = {};
 
   /// Sampled minibatch state (dist::SampledRunner), constructed lazily on
   /// the first sampled epoch. Declared after algebra_ so its pending

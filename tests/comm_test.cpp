@@ -109,24 +109,6 @@ TEST_P(CollectivesAcrossP, AllgathervConcatenatesInRankOrder) {
   });
 }
 
-TEST_P(CollectivesAcrossP, GatherCollectsAtRootOnly) {
-  const int p = GetParam();
-  run_world(p, [&](Comm& comm) {
-    std::vector<Real> mine = {static_cast<Real>(comm.rank() * 10)};
-    const auto g =
-        comm.gather(std::span<const Real>(mine), 0, CommCategory::kControl);
-    if (comm.rank() == 0) {
-      ASSERT_EQ(g.data.size(), static_cast<std::size_t>(p));
-      for (int r = 0; r < p; ++r) {
-        ASSERT_DOUBLE_EQ(g.data[static_cast<std::size_t>(r)],
-                         static_cast<Real>(r * 10));
-      }
-    } else {
-      ASSERT_TRUE(g.data.empty());
-    }
-  });
-}
-
 INSTANTIATE_TEST_SUITE_P(WorldSizes, CollectivesAcrossP,
                          ::testing::Values(1, 2, 3, 4, 7, 8, 16));
 
@@ -150,6 +132,36 @@ TEST(Comm, ExchangeWithSelfCopies) {
     ASSERT_EQ(recv.size(), 3u);
     ASSERT_DOUBLE_EQ(recv[2], static_cast<Real>(comm.rank()));
   });
+}
+
+TEST(Comm, ExchangeRejectsNonReciprocalPeers) {
+  // A 3-cycle of peers is a valid route permutation, but no rank's peer
+  // named it back: each would receive data sent to a different rank.
+  try {
+    run_world(3, [](Comm& comm) {
+      std::vector<Real> send(4, static_cast<Real>(comm.rank()));
+      comm.exchange(std::span<const Real>(send), (comm.rank() + 1) % 3,
+                    CommCategory::kTranspose);
+    });
+    FAIL() << "non-reciprocal exchange was accepted";
+  } catch (const CommAborted& e) {
+    FAIL() << "expected the reciprocity diagnostic, got an abort: "
+           << e.what();
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("exchange [trpose]"), std::string::npos) << what;
+    // Names both ranks: the one that checked and the peer it named.
+    const auto at = what.find("rank ");
+    ASSERT_NE(at, std::string::npos) << what;
+    const int r = what[at + 5] - '0';
+    EXPECT_NE(what.find("named peer " + std::to_string((r + 1) % 3)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("rank " + std::to_string((r + 1) % 3) +
+                        " named peer " + std::to_string((r + 2) % 3)),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(Comm, RouteDeliversAlongPermutation) {
@@ -223,33 +235,6 @@ TEST(Comm, NestedSplitWorks) {
     const int base = (comm.rank() / 2) * 2;
     ASSERT_DOUBLE_EQ(v[0], static_cast<Real>(base + base + 1));
   });
-}
-
-TEST(Comm, AllgatherFixedSizeConcatenates) {
-  run_world(4, [](Comm& comm) {
-    std::vector<Real> mine(3, static_cast<Real>(comm.rank() + 1));
-    const auto all =
-        comm.allgather(std::span<const Real>(mine), CommCategory::kDense);
-    ASSERT_EQ(all.size(), 12u);
-    for (int r = 0; r < 4; ++r) {
-      for (int i = 0; i < 3; ++i) {
-        ASSERT_DOUBLE_EQ(all[static_cast<std::size_t>(r * 3 + i)],
-                         static_cast<Real>(r + 1));
-      }
-    }
-  });
-}
-
-TEST(Comm, AllgatherMismatchedSizesDetected) {
-  EXPECT_THROW(
-      run_world(2,
-                [](Comm& comm) {
-                  std::vector<Real> mine(
-                      comm.rank() == 0 ? 2u : 3u, 0.0);
-                  comm.allgather(std::span<const Real>(mine),
-                                 CommCategory::kDense);
-                }),
-      Error);
 }
 
 TEST(Comm, ExchangeMeterChargesReceivedWords) {
@@ -602,9 +587,6 @@ TEST(InvalidComm, CollectivesFailWithDiagnostic) {
                                        std::span<Real>(data),
                                        CommCategory::kDense),
                Error);
-  EXPECT_THROW(comm.allgather(std::span<const Real>(data),
-                              CommCategory::kDense),
-               Error);
   EXPECT_THROW(comm.allgatherv_into(std::span<const Real>(data), gathered,
                                     CommCategory::kDense),
                Error);
@@ -613,9 +595,6 @@ TEST(InvalidComm, CollectivesFailWithDiagnostic) {
                Error);
   EXPECT_THROW(comm.route(std::span<const Real>(data), 0,
                           CommCategory::kDense),
-               Error);
-  EXPECT_THROW(comm.gather(std::span<const Real>(data), 0,
-                           CommCategory::kDense),
                Error);
   EXPECT_THROW(comm.ibroadcast_from(std::span<const Real>(data),
                                     std::span<Real>{}, 0,
@@ -1067,6 +1046,66 @@ TEST(Nonblocking, QuiesceReleasesSourcesForReuse) {
       comm.quiesce_op(ticket);
     }
     comm.quiesce();  // full drain is idempotent
+  });
+}
+
+TEST(Nonblocking, BlockingOpsStayOutsideTheNonblockingBudget) {
+  // Blocking collectives run on their own synchronous channel: a full
+  // ring of posted-but-unwaited ops neither blocks them nor is consumed
+  // by them, and any number of blocking calls between a deferred post and
+  // its wait cannot deadlock on the ring's recycle gate.
+  run_world(4, [](Comm& comm) {
+    const int p = comm.size();
+    const auto me = static_cast<Real>(comm.rank() + 1);
+    std::vector<std::vector<Real>> src(16, std::vector<Real>(8, me));
+    std::vector<std::vector<Real>> dst(16, std::vector<Real>(8, 0));
+    std::vector<PendingOp> ring;
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      ring.push_back(comm.iallreduce_sum(std::span<const Real>(src[i]),
+                                         std::span<Real>(dst[i]),
+                                         CommCategory::kDense));
+    }
+    std::vector<Real> v(3, me);
+    comm.allreduce_sum(std::span<Real>(v), CommCategory::kDense);
+    for (Real x : v) ASSERT_DOUBLE_EQ(x, 10.0);
+    v.assign(3, me);
+    comm.broadcast(std::span<Real>(v), 2, CommCategory::kDense);
+    for (Real x : v) ASSERT_DOUBLE_EQ(x, 3.0);
+    std::vector<Real> send(static_cast<std::size_t>(p), me);
+    std::vector<std::size_t> offsets(static_cast<std::size_t>(p) + 1);
+    std::iota(offsets.begin(), offsets.end(), std::size_t{0});
+    Gathered<Real> recv;
+    comm.alltoallv_into(std::span<const Real>(send),
+                        std::span<const std::size_t>(offsets), recv,
+                        CommCategory::kHalo);
+    for (int r = 0; r < p; ++r) {
+      ASSERT_DOUBLE_EQ(recv.chunk(r)[0], static_cast<Real>(r + 1));
+    }
+    comm.barrier();
+    Comm half = comm.split(comm.rank() / 2, comm.rank());
+    std::vector<Real> h(2, me);
+    half.allreduce_sum(std::span<Real>(h), CommCategory::kDense);
+    ASSERT_DOUBLE_EQ(h[0], comm.rank() < 2 ? 3.0 : 7.0);
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      ring[i].wait();
+      for (Real x : dst[i]) ASSERT_DOUBLE_EQ(x, 10.0);
+    }
+
+    // A deferred post (the begin_reduce_gradients shape) with 40 blocking
+    // ops before its wait: more than twice the ring's 16 channels.
+    std::vector<Real> contrib(5, me);
+    std::vector<Real> total(5, 0);
+    PendingOp deferred = comm.iallreduce_sum(
+        std::span<const Real>(contrib), std::span<Real>(total),
+        CommCategory::kDense);
+    for (int i = 0; i < 40; ++i) {
+      std::vector<Real> x(2, me);
+      comm.allreduce_sum(std::span<Real>(x), CommCategory::kDense);
+      ASSERT_DOUBLE_EQ(x[0], 10.0);
+    }
+    deferred.wait();
+    for (Real x : total) ASSERT_DOUBLE_EQ(x, 10.0);
+    comm.quiesce();
   });
 }
 
@@ -1564,20 +1603,38 @@ TEST(Diagnostics, OrderMismatchNamesRanksOpsAndCategory) {
 }
 
 TEST(Diagnostics, SizeMismatchNamesOpCategoryAndBothRanks) {
-  try {
-    run_world(2, [](Comm& comm) {
-      std::vector<Real> data(comm.rank() == 0 ? 4 : 5, Real{1});
-      comm.broadcast(std::span<Real>(data), 0, CommCategory::kDense);
-    });
-    FAIL() << "size mismatch was not diagnosed";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("broadcast"), std::string::npos) << what;
-    EXPECT_NE(what.find("[dense]"), std::string::npos) << what;
-    EXPECT_NE(what.find("disagree on element count"), std::string::npos)
-        << what;
-    EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
-    EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+  // One diagnostic for every size-uniform op, blocking or nonblocking.
+  for (const std::string op :
+       {"broadcast", "ibroadcast_from", "iallreduce_sum"}) {
+    try {
+      run_world(2, [&](Comm& comm) {
+        const bool root = comm.rank() == 0;
+        std::vector<Real> data(root ? 4 : 5, Real{1});
+        std::vector<Real> out(data.size(), Real{0});
+        if (op == "broadcast") {
+          comm.broadcast(std::span<Real>(data), 0, CommCategory::kDense);
+        } else if (op == "ibroadcast_from") {
+          comm.ibroadcast_from(
+                  root ? std::span<const Real>(data) : std::span<const Real>{},
+                  root ? std::span<Real>{} : std::span<Real>(data), 0,
+                  CommCategory::kDense)
+              .wait();
+        } else {
+          comm.iallreduce_sum(std::span<const Real>(data),
+                              std::span<Real>(out), CommCategory::kDense)
+              .wait();
+        }
+        comm.quiesce();
+      });
+      FAIL() << op << ": size mismatch was not diagnosed";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(op + " [dense]"), std::string::npos) << what;
+      EXPECT_NE(what.find("disagree on element count"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
+      EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+    }
   }
 }
 

@@ -41,26 +41,21 @@ BENCH = REPO / "bench"
 
 # ---- rule: seam-funnel -------------------------------------------------
 
-# Collective entry points that publish or read channel/slot state
-# directly. Wrappers that only delegate (allgather -> allgatherv,
-# allreduce_sum -> reduce_impl, the i-collectives -> post_async) are
-# covered through their callee.
+# Functions that publish or read channel state directly. Every collective
+# funnels through them: the i-collectives post through post_async and
+# complete in PendingOp::wait; the blocking collectives are the same ops
+# posted on the synchronous channel and completed by run_blocking;
+# per-source drains read through await_source. Collectives that only
+# delegate (broadcast -> post_bcast -> post_async, ...) are covered through
+# their callee.
 SEAM_ANCHORS = {
     "src/comm/comm.hpp": [
-        "void broadcast(",
-        "void broadcast_from(",
-        "void reduce_scatter_sum(",
-        "void allgatherv_into(",
-        "std::vector<T> exchange(",
-        "std::vector<T> route(",
-        "void alltoallv_into(",
-        "Gathered<T> gather(",
         "std::span<const T> await_source(",
-        "void reduce_impl(",
     ],
     "src/comm/comm.cpp": [
         "PendingOp Comm::post_async(",
         "void PendingOp::wait(",
+        "void Comm::run_blocking(",
     ],
 }
 
@@ -298,11 +293,12 @@ def build_seeded_tree(tmp):
     (tmp / "src/comm").mkdir(parents=True)
     (tmp / "src/util").mkdir(parents=True)
     (tmp / "bench").mkdir()
-    # seam-funnel: both anchor files exist but broadcast never calls
-    # seam_event; the rest of the anchors are present and clean.
+    # seam-funnel: both anchor files exist but the first comm.hpp anchor
+    # never calls seam_event; the rest of the anchors are present and
+    # clean.
     hpp_parts = []
-    for anchor in SEAM_ANCHORS["src/comm/comm.hpp"]:
-        body = "{}" if anchor == "void broadcast(" else "{ seam_event(x); }"
+    for i, anchor in enumerate(SEAM_ANCHORS["src/comm/comm.hpp"]):
+        body = "{}" if i == 0 else "{ seam_event(x); }"
         hpp_parts.append(f"template <typename T>\n{anchor}) {body}\n")
     (tmp / "src/comm/comm.hpp").write_text("\n".join(hpp_parts))
     cpp_parts = []
