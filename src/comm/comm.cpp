@@ -14,22 +14,6 @@
 
 namespace cagnet {
 
-namespace {
-
-/// ScopedPhase over a nullable profiler: the compressed collectives time
-/// their codec and wait work only when the caller supplied one.
-class MaybePhase {
- public:
-  MaybePhase(Profiler* profiler, Phase phase) {
-    if (profiler != nullptr) scope_.emplace(*profiler, phase);
-  }
-
- private:
-  std::optional<ScopedPhase> scope_;
-};
-
-}  // namespace
-
 double ceil_log2(int p) {
   CAGNET_CHECK(p >= 1, "ceil_log2 of non-positive value");
   double bits = 0;
@@ -65,6 +49,10 @@ const char* op_kind_name(OpKind kind) {
       return "exchange";
     case OpKind::kBarrier:
       return "barrier";
+    case OpKind::kCodedAllreduce:
+      return "coded iallreduce_sum";
+    case OpKind::kCodedReduceScatter:
+      return "coded ireduce_scatter_sum";
   }
   return "?";
 }
@@ -279,7 +267,13 @@ PendingOp Comm::post_async(detail::OpKind kind, const void* publish_ptr,
       !async || st.outstanding[rank] < detail::kAsyncChannels,
       "too many posted-but-unwaited nonblocking collectives on one "
       "communicator (max 16 in flight per rank); wait() some first");
-  if (mode != detail::PostMode::kSilent) {
+  if (mode != detail::PostMode::kSilent && st.hub->fault != nullptr) {
+    // A kill here unwinds the caller's frames, which may own sources of
+    // this rank's earlier, waited but unreleased posts that peers are
+    // still reading: inside a window the unwinding rank poisons the world
+    // and waits out every peer's open read before those frames go. Only
+    // a fault plan makes the seam throw.
+    detail::CollectiveWindow window(st, rank_);
     detail::seam_event(st, ctx, FaultSite::kPost);
   }
   const std::uint64_t ticket =
@@ -316,8 +310,6 @@ PendingOp Comm::post_async(detail::OpKind kind, const void* publish_ptr,
 
   PendingOp op;
   op.state_ = state_;
-  op.ch_ = &ch;
-  op.gen_ = gen;
   op.name_ = ctx.op;
   op.mode_ = mode;
   op.rank_ = rank_;
@@ -345,7 +337,7 @@ void Comm::run_blocking(PendingOp op) const {
   if (op.mode_ == detail::PostMode::kBlocking) {
     detail::seam_event(st, ctx, FaultSite::kWait);
   }
-  const std::uint64_t gen = op.gen_;
+  const std::uint64_t gen = op.generation();
   op.wait();
   // The release is a window of its own, not nested around wait()'s: a
   // dying rank drains its peers' windows after closing its own, and a
@@ -389,14 +381,16 @@ void PendingOp::wait() {
   const bool per_source_drain = per_source();
   const bool async = mode_ == detail::PostMode::kAsync;
   const detail::OpContext ctx{rank_, cat_, name_};
+  detail::AsyncChannel& ch = channel();
   if (async) detail::seam_event(st, ctx, FaultSite::kWait);
   if (!passive_root && !per_source_drain) {
-    detail::await_counter(ch_->posted, ch_->waiters,
-                          static_cast<std::uint64_t>(st.size) * (gen_ + 1),
+    detail::await_counter(ch.posted, ch.waiters,
+                          static_cast<std::uint64_t>(st.size) *
+                              (generation() + 1),
                           st.hub->aborted, ctx);
   }
   complete_(*this);
-  detail::bump_counter(ch_->finished, ch_->waiters,
+  detail::bump_counter(ch.finished, ch.waiters,
                        static_cast<std::uint64_t>(st.size));
   if (async) {
     st.outstanding[static_cast<std::size_t>(rank_)]--;
@@ -412,13 +406,14 @@ void PendingOp::land_source(int src, std::size_t elem_bytes,
   const std::uint64_t bit = std::uint64_t{1} << src;
   if ((landed_mask_ & bit) != 0) return;
   const auto s = static_cast<std::size_t>(src);
+  detail::AsyncChannel& ch = channel();
   if (src != rank_) {
-    detail::await_counter(ch_->posted_by[s], ch_->waiters, gen_ + 1,
+    detail::await_counter(ch.posted_by[s], ch.waiters, generation() + 1,
                           state_->hub->aborted, ctx);
   }
-  CAGNET_CHECK(ch_->kind[s] == kind_ && ch_->root[s] == root_,
-               detail::order_mismatch(ctx, src, ch_->kind[s]));
-  const auto* offs = static_cast<const std::size_t*>(ch_->ptr2[s]);
+  CAGNET_CHECK(ch.kind[s] == kind_ && ch.root[s] == root_,
+               detail::order_mismatch(ctx, src, ch.kind[s]));
+  const auto* offs = static_cast<const std::size_t*>(ch.ptr2[s]);
   const auto me = static_cast<std::size_t>(rank_);
   if (src != rank_) charge(1.0, (offs[me + 1] - offs[me]) * elem_bytes);
   landed_mask_ |= bit;
@@ -474,195 +469,129 @@ Comm Comm::split(int color, int key) const {
   return Comm(std::move(state), new_rank, meter_);
 }
 
-void PendingCompressedReduce::wait() {
-  if (!pending()) return;
-  // Take the communicator state locally: op_.wait() drops the inner op's
-  // own reference, and the decode epilogue below still needs the checker
-  // for charge attribution. Declared before the blocking scope so the
-  // checker outlives the scope's exit hook.
-  const std::shared_ptr<detail::CommState> st = std::move(state_);
-  contract::Checker* ck = st ? st->checker.get() : nullptr;
-  const char* op_name = scatter_ ? "ireduce_scatter_sum_compressed"
-                                 : "iallreduce_sum_compressed";
-  contract::BlockingScope contract_scope(ck, rank_, op_name,
-                                         CommCategory::kCompressed);
-  CompressBuf& buf = *buf_;
-  buf_ = nullptr;
-  {
-    MaybePhase scope(profiler_, Phase::kDenseComm);
-    op_.wait();
+PendingOp Comm::iallreduce_sum(std::span<const Real> contrib,
+                               std::span<Real> out, CommCategory cat,
+                               const Codec& codec) {
+  check_valid("iallreduce_sum");
+  if (codec.buf == nullptr || codec.mode == CompressMode::kOff ||
+      size() == 1) {
+    return iallreduce_sum(contrib, out, cat);
   }
-  const int p = size_;
-  const std::size_t enc = encoded_size_bytes(mode_, n_);
-  MaybePhase scope(profiler_, Phase::kCompressPack);
-  if (!scatter_) {
-    for (int r = 0; r < p; ++r) {
-      CAGNET_CHECK(
-          buf.recv.chunk(r).size() == enc,
-          "iallreduce_sum_compressed: ranks disagree on element count");
+  CAGNET_CHECK(contrib.size() == out.size(),
+               "iallreduce_sum: contrib/out length mismatch");
+  return post_coded(detail::OpKind::kCodedAllreduce, contrib, out, codec);
+}
+
+PendingOp Comm::ireduce_scatter_sum(std::span<const Real> contrib,
+                                    std::span<Real> out, CommCategory cat,
+                                    const Codec& codec) {
+  check_valid("ireduce_scatter_sum");
+  // The coded wire gathers every rank's full encoded contribution, so it
+  // only pays at small worlds / high codec ratios (int8 up to P ~ 7,
+  // fp16 never); false for kOff and P == 1 too.
+  if (codec.buf == nullptr ||
+      !reduce_scatter_compression_pays(codec.mode, contrib.size(), size())) {
+    return ireduce_scatter_sum(contrib, out, cat);
+  }
+  return post_coded(detail::OpKind::kCodedReduceScatter, contrib, out,
+                    codec);
+}
+
+PendingOp Comm::post_coded(detail::OpKind kind, std::span<const Real> contrib,
+                           std::span<Real> out, const Codec& codec) const {
+  CompressBuf& buf = *codec.buf;
+  rebind_compress_buf(buf, contrib.size());
+  {
+    std::optional<ScopedPhase> scope;
+    if (codec.profiler != nullptr) {
+      scope.emplace(*codec.profiler, Phase::kCompressPack);
     }
-    // Decode-sum in ascending rank order (matching the exact all-reduce's
+    // Reduce-scatter wire per rank: [u64 out-length][encoded
+    // contribution]. The headers give every rank the chunk boundaries,
+    // which may differ per rank (the 1.5D keeper-only form).
+    const std::size_t header =
+        kind == detail::OpKind::kCodedReduceScatter ? sizeof(std::uint64_t)
+                                                    : 0;
+    buf.send.resize(header + encoded_size_bytes(codec.mode, contrib.size()));
+    if (header != 0) {
+      const std::uint64_t out_len = out.size();
+      std::memcpy(buf.send.data(), &out_len, sizeof(out_len));
+    }
+    compress_encode(codec.mode, contrib, buf.send.data() + header,
+                    buf.error_feedback ? &buf.residual : nullptr);
+  }
+  PendingOp op = post_async(kind, buf.send.data(), buf.send.size(),
+                            /*root=*/0, CommCategory::kCompressed, true,
+                            &PendingOp::complete_coded, out.data(),
+                            out.size(), contrib.size(), &buf);
+  op.codec_mode_ = codec.mode;
+  op.codec_profiler_ = codec.profiler;
+  return op;
+}
+
+void PendingOp::complete_coded(PendingOp& op) {
+  const detail::AsyncChannel& ch = op.channel();
+  const int p = op.state_->size;
+  const detail::OpContext ctx{op.rank_, op.cat_, op.name_};
+  for (int r = 0; r < p; ++r) {
+    CAGNET_CHECK(ch.kind[static_cast<std::size_t>(r)] == op.kind_,
+                 detail::order_mismatch(ctx, r,
+                                        ch.kind[static_cast<std::size_t>(r)]));
+  }
+  // A wire length is a function of the element count alone.
+  detail::check_uniform_len(ctx, ch.len);
+  const auto bytes = [&](int r) {
+    return static_cast<const std::uint8_t*>(
+        ch.ptr[static_cast<std::size_t>(r)]);
+  };
+  const CompressMode mode = op.codec_mode_;
+  CompressBuf& buf = *static_cast<CompressBuf*>(op.gathered_);
+  const std::size_t n = op.src_len_;
+  Real* out = static_cast<Real*>(op.out_);
+  std::optional<ScopedPhase> scope;
+  if (op.codec_profiler_ != nullptr) {
+    scope.emplace(*op.codec_profiler_, Phase::kCompressPack);
+  }
+  if (op.kind_ == detail::OpKind::kCodedAllreduce) {
+    // Decode-sum in ascending rank order (the exact all-reduce's
     // per-element accumulation order), identically on every rank.
-    buf.scratch.resize(n_);
+    buf.scratch.resize(n);
     for (int r = 0; r < p; ++r) {
-      const std::uint8_t* bytes = buf.recv.chunk(r).data();
       if (r == 0) {
-        compress_decode(mode_, bytes, n_, out_);
+        compress_decode(mode, bytes(r), n, out);
       } else {
-        compress_decode(mode_, bytes, n_, buf.scratch.data());
-        for (std::size_t i = 0; i < n_; ++i) out_[i] += buf.scratch[i];
+        compress_decode(mode, bytes(r), n, buf.scratch.data());
+        for (std::size_t i = 0; i < n; ++i) out[i] += buf.scratch[i];
       }
     }
-    if (ck != nullptr) {
-      ck->on_charge(rank_, op_name, CommCategory::kCompressed);
-    }
-    meter_->add(CommCategory::kCompressed, 2.0 * ceil_log2(p),
-                2.0 * static_cast<double>(enc) * (p - 1) / p / sizeof(Real));
+    const auto enc = static_cast<double>(encoded_size_bytes(mode, n));
+    op.charge(2.0 * ceil_log2(p), 2.0 * enc * (p - 1) / p);
     return;
   }
-  // Reduce-scatter wire format per rank: [u64 out-length][encoded full
-  // contribution]. The headers give every rank the chunk boundaries (the
-  // out sizes may differ per rank); each rank decodes only its own slice
-  // of every contribution.
+  // Reduce-scatter: each rank decodes only its own slice of every
+  // contribution, at the offset the out-length headers give it.
   std::size_t my_lo = 0;
   std::size_t total_out = 0;
   for (int r = 0; r < p; ++r) {
-    const auto chunk = buf.recv.chunk(r);
-    CAGNET_CHECK(
-        chunk.size() == sizeof(std::uint64_t) + enc,
-        "ireduce_scatter_sum_compressed: ranks disagree on element count");
     std::uint64_t out_len = 0;
-    std::memcpy(&out_len, chunk.data(), sizeof(out_len));
-    if (r == rank_) my_lo = total_out;
+    std::memcpy(&out_len, bytes(r), sizeof(out_len));
+    if (r == op.rank_) my_lo = total_out;
     total_out += static_cast<std::size_t>(out_len);
   }
-  CAGNET_CHECK(total_out == n_,
-               "reduce_scatter: contribution length != sum of outputs");
+  CAGNET_CHECK(total_out == n,
+               std::string(op.name_) +
+                   ": contribution length != sum of outputs");
   // Zero, then accumulate ranks ascending — the exact form's order.
-  std::fill(out_, out_ + out_len_, Real{0});
-  buf.scratch.resize(out_len_);
+  std::fill(out, out + op.out_len_, Real{0});
+  buf.scratch.resize(op.out_len_);
   for (int r = 0; r < p; ++r) {
-    compress_decode_range(mode_,
-                          buf.recv.chunk(r).data() + sizeof(std::uint64_t),
-                          n_, my_lo, my_lo + out_len_, buf.scratch.data());
-    for (std::size_t i = 0; i < out_len_; ++i) out_[i] += buf.scratch[i];
+    compress_decode_range(mode, bytes(r) + sizeof(std::uint64_t), n, my_lo,
+                          my_lo + op.out_len_, buf.scratch.data());
+    for (std::size_t i = 0; i < op.out_len_; ++i) out[i] += buf.scratch[i];
   }
-  if (ck != nullptr) ck->on_charge(rank_, op_name, CommCategory::kCompressed);
-  meter_->add(CommCategory::kCompressed, ceil_log2(p),
-              static_cast<double>(buf.recv.data.size()) * (p - 1) / p /
-                  sizeof(Real));
-}
-
-PendingCompressedReduce Comm::iallreduce_sum_compressed(
-    std::span<const Real> contrib, std::span<Real> out, CompressMode mode,
-    CompressBuf& buf, Profiler* profiler) {
-  check_valid("iallreduce_sum_compressed");
-  CAGNET_CHECK(mode != CompressMode::kOff,
-               "iallreduce_sum_compressed: mode must be a lossy codec (use "
-               "iallreduce_sum for exact traffic)");
-  CAGNET_CHECK(contrib.size() == out.size(),
-               "iallreduce_sum_compressed: contrib/out length mismatch");
-  rebind_compress_buf(buf, contrib.size());
-  PendingCompressedReduce op;
-  op.meter_ = meter_;
-  op.profiler_ = profiler;
-  op.mode_ = mode;
-  op.out_ = out.data();
-  op.out_len_ = out.size();
-  op.n_ = contrib.size();
-  op.rank_ = rank_;
-  op.size_ = size();
-  if (size() == 1) {
-    if (!out.empty() && out.data() != contrib.data()) {
-      std::memcpy(out.data(), contrib.data(), out.size() * sizeof(Real));
-    }
-    return op;  // exact self-reduction; nothing pending, nothing charged
-  }
-  {
-    MaybePhase scope(profiler, Phase::kCompressPack);
-    buf.send.resize(encoded_size_bytes(mode, contrib.size()));
-    compress_encode(mode, contrib, buf.send.data(),
-                    buf.error_feedback ? &buf.residual : nullptr);
-  }
-  op.op_ = iallgatherv_into(std::span<const std::uint8_t>(buf.send),
-                            buf.recv, CommCategory::kCompressed,
-                            /*charged=*/false);
-  op.state_ = state_;
-  op.buf_ = &buf;
-  return op;
-}
-
-PendingCompressedReduce Comm::ireduce_scatter_sum_compressed(
-    std::span<const Real> contrib, std::span<Real> out, CompressMode mode,
-    CompressBuf& buf, Profiler* profiler) {
-  check_valid("ireduce_scatter_sum_compressed");
-  CAGNET_CHECK(mode != CompressMode::kOff,
-               "ireduce_scatter_sum_compressed: mode must be a lossy codec "
-               "(use ireduce_scatter_sum for exact traffic)");
-  rebind_compress_buf(buf, contrib.size());
-  PendingCompressedReduce op;
-  op.meter_ = meter_;
-  op.profiler_ = profiler;
-  op.mode_ = mode;
-  op.scatter_ = true;
-  op.out_ = out.data();
-  op.out_len_ = out.size();
-  op.n_ = contrib.size();
-  op.rank_ = rank_;
-  op.size_ = size();
-  if (size() == 1) {
-    CAGNET_CHECK(out.size() == contrib.size(),
-                 "reduce_scatter: contribution length != sum of outputs");
-    if (!out.empty() && out.data() != contrib.data()) {
-      std::memcpy(out.data(), contrib.data(), out.size() * sizeof(Real));
-    }
-    return op;
-  }
-  {
-    MaybePhase scope(profiler, Phase::kCompressPack);
-    const std::size_t enc = encoded_size_bytes(mode, contrib.size());
-    buf.send.resize(sizeof(std::uint64_t) + enc);
-    const std::uint64_t out_len = out.size();
-    std::memcpy(buf.send.data(), &out_len, sizeof(out_len));
-    compress_encode(mode, contrib, buf.send.data() + sizeof(std::uint64_t),
-                    buf.error_feedback ? &buf.residual : nullptr);
-  }
-  op.op_ = iallgatherv_into(std::span<const std::uint8_t>(buf.send),
-                            buf.recv, CommCategory::kCompressed,
-                            /*charged=*/false);
-  op.state_ = state_;
-  op.buf_ = &buf;
-  return op;
-}
-
-void Comm::allreduce_sum_compressed(std::span<Real> data, CompressMode mode,
-                                    CompressBuf& buf, Profiler* profiler) {
-  check_valid("allreduce_sum_compressed");
-  PendingCompressedReduce op = iallreduce_sum_compressed(
-      std::span<const Real>(data.data(), data.size()), data, mode, buf,
-      profiler);
-  if (!op.pending()) return;
-  const std::uint64_t ticket = op.ticket();
-  op.wait();
-  // Trailing release rendezvous: the blocking contract lets the caller
-  // rewrite buf.send (e.g. the next layer's encode) immediately, so wait
-  // until every peer has copied this one.
-  MaybePhase scope(profiler, Phase::kDenseComm);
-  quiesce_op(ticket);
-}
-
-void Comm::reduce_scatter_sum_compressed(std::span<const Real> contrib,
-                                         std::span<Real> out,
-                                         CompressMode mode, CompressBuf& buf,
-                                         Profiler* profiler) {
-  check_valid("reduce_scatter_sum_compressed");
-  PendingCompressedReduce op =
-      ireduce_scatter_sum_compressed(contrib, out, mode, buf, profiler);
-  if (!op.pending()) return;
-  const std::uint64_t ticket = op.ticket();
-  op.wait();
-  MaybePhase scope(profiler, Phase::kDenseComm);
-  quiesce_op(ticket);
+  const std::size_t gathered =
+      static_cast<std::size_t>(p) * ch.len[static_cast<std::size_t>(op.rank_)];
+  op.charge(ceil_log2(p), static_cast<double>(gathered) * (p - 1) / p);
 }
 
 namespace {

@@ -47,8 +47,8 @@
 
 namespace cagnet {
 
-class Profiler;  // src/util/profiler.hpp; compressed collectives time
-                 // their codec work under Phase::kCompressPack
+class Profiler;  // src/util/profiler.hpp; coded reductions time their
+                 // codec work under Phase::kCompressPack
 
 /// ceil(log2(p)) with ceil_log2(1) == 0: the latency factor of a
 /// tree-structured collective.
@@ -74,6 +74,8 @@ enum class OpKind : std::uint8_t {
   kRoute,
   kExchange,
   kBarrier,
+  kCodedAllreduce,      ///< iallreduce_sum with a lossy codec
+  kCodedReduceScatter,  ///< ireduce_scatter_sum with a lossy codec
 };
 
 /// Display name of an op kind (diagnostics and CommAborted of ops posted
@@ -339,8 +341,8 @@ struct Gathered {
   }
 };
 
-/// Reusable state of one compressed-collective stream: this rank's
-/// encoded wire bytes, the gathered peers' bytes, a decode scratch, and
+/// Reusable state of one coded-reduction stream: this rank's encoded
+/// wire bytes (peers decode straight out of them), a decode scratch, and
 /// the optional error-feedback residual (see src/comm/compress.hpp).
 /// A buf is bound to a (communicator, element count) pair on first use;
 /// using it with a different communicator or length resets the residual,
@@ -350,12 +352,24 @@ struct Gathered {
 /// reuse is what carries the quantization error forward.
 struct CompressBuf {
   std::vector<std::uint8_t> send;    ///< this rank's encoded wire bytes
-  Gathered<std::uint8_t> recv;       ///< peers' wire bytes (gathered)
   std::vector<Real> residual;        ///< error-feedback carry
   std::vector<Real> scratch;         ///< decode workspace
   bool error_feedback = false;       ///< apply residual feedback on encode
   std::uint64_t bound_comm = 0;  ///< uid of the bound communicator (0 = none)
   std::size_t bound_n = 0;       ///< bound element count
+};
+
+/// The optional lossy wire codec of a reduction (Comm::iallreduce_sum /
+/// Comm::ireduce_scatter_sum): the mode and the caller's CompressBuf,
+/// whose send bytes carry the op and whose residual carries the error
+/// feedback. Encode (at post) and decode (at wait) seconds land in
+/// Phase::kCompressPack of `profiler` when one is given. A default Codec,
+/// mode kOff, or a one-rank communicator leave the op exact (as does a
+/// reduce-scatter whose coded wire would not be smaller).
+struct Codec {
+  CompressMode mode = CompressMode::kOff;
+  CompressBuf* buf = nullptr;
+  Profiler* profiler = nullptr;
 };
 
 /// Handle to a posted-but-possibly-incomplete nonblocking collective.
@@ -381,25 +395,25 @@ class PendingOp {
     if (this != &other) {
       complete_for_destroy();
       state_ = std::move(other.state_);
-      ch_ = other.ch_;
-      gen_ = other.gen_;
       name_ = other.name_;
-      mode_ = other.mode_;
-      rank_ = other.rank_;
       meter_ = other.meter_;
       ticket_ = other.ticket_;
-      cat_ = other.cat_;
-      root_ = other.root_;
-      charged_ = other.charged_;
-      kind_ = other.kind_;
       out_ = other.out_;
       out_len_ = other.out_len_;
       src_len_ = other.src_len_;
       gathered_ = other.gathered_;
       drained_mask_ = other.drained_mask_;
       landed_mask_ = other.landed_mask_;
-      waited_ = other.waited_;
       complete_ = other.complete_;
+      codec_profiler_ = other.codec_profiler_;
+      rank_ = other.rank_;
+      root_ = other.root_;
+      cat_ = other.cat_;
+      mode_ = other.mode_;
+      kind_ = other.kind_;
+      codec_mode_ = other.codec_mode_;
+      charged_ = other.charged_;
+      waited_ = other.waited_;
       other.state_.reset();
       other.complete_ = nullptr;
       other.waited_ = false;  // moved-from behaves like an empty handle
@@ -461,10 +475,11 @@ class PendingOp {
     detail::seam_event(*state_, ctx, FaultSite::kWait);
     land_source(src, sizeof(T), ctx);
     drained_mask_ |= std::uint64_t{1} << src;
+    const detail::AsyncChannel& ch = channel();
     const auto* offs = static_cast<const std::size_t*>(
-        ch_->ptr2[static_cast<std::size_t>(src)]);
+        ch.ptr2[static_cast<std::size_t>(src)]);
     const auto me = static_cast<std::size_t>(rank_);
-    return {static_cast<const T*>(ch_->ptr[static_cast<std::size_t>(src)]) +
+    return {static_cast<const T*>(ch.ptr[static_cast<std::size_t>(src)]) +
                 offs[me],
             offs[me + 1] - offs[me]};
   }
@@ -524,17 +539,39 @@ class PendingOp {
     }
   }
 
+  /// `bytes` is a double so a coded op can charge its fractional
+  /// Real-sized word count exactly.
   // [[hot-path]]
-  void charge(double latency_units, std::size_t bytes) {
+  void charge(double latency_units, double bytes) {
     if (!charged_) return;
     detail::seam_event(*state_, {rank_, cat_, name_}, FaultSite::kCharge);
     if (auto* ck = state_->checker.get()) ck->on_charge(rank_, name_, cat_);
-    meter_->add(cat_, latency_units,
-                static_cast<double>(bytes) / sizeof(Real));
+    meter_->add(cat_, latency_units, bytes / sizeof(Real));
   }
 
   template <typename T>
   static void complete_impl(PendingOp& op);
+
+  /// Completion of a coded reduction: decode every rank's published wire
+  /// bytes in ascending rank order, sum into this rank's output, and
+  /// charge kCompressed with the bytes actually on the wire. Out-of-line
+  /// (comm.cpp).
+  static void complete_coded(PendingOp& op);
+
+  /// The channel the op posted on and its generation there: ring tickets
+  /// cycle through the kAsyncChannels ring channels, blocking ops own the
+  /// synchronous channel one generation per ticket. Derived rather than
+  /// stored, which keeps the handle small (see the members below).
+  detail::AsyncChannel& channel() const {
+    return mode_ == detail::PostMode::kAsync
+               ? *state_->channels[ticket_ % detail::kAsyncChannels]
+               : state_->sync_channel();
+  }
+  std::uint64_t generation() const {
+    return mode_ == detail::PostMode::kAsync
+               ? ticket_ / detail::kAsyncChannels
+               : ticket_;
+  }
 
   /// Completion of an ialltoallv_post op: land (await + charge) every
   /// source not landed yet — no data is copied; an undrained chunk was
@@ -548,111 +585,41 @@ class PendingOp {
     }
   }
 
+  // Members, widest first, with the channel and generation derived: the
+  // handle fits the 128-byte heap block class (see the static_assert
+  // below the class).
   std::shared_ptr<detail::CommState> state_;
-  detail::AsyncChannel* ch_ = nullptr;  ///< the channel the op posted on
-  std::uint64_t gen_ = 0;               ///< its generation on that channel
   const char* name_ = nullptr;  ///< display name (seam events, charges)
-  detail::PostMode mode_ = detail::PostMode::kAsync;
-  int rank_ = 0;
   CostMeter* meter_ = nullptr;
   std::uint64_t ticket_ = 0;
-  CommCategory cat_ = CommCategory::kControl;
-  int root_ = -1;
-  bool charged_ = true;
-  detail::OpKind kind_ = detail::OpKind::kNone;
   void* out_ = nullptr;          ///< this rank's destination (kind-specific)
   std::size_t out_len_ = 0;      ///< destination element count
   std::size_t src_len_ = 0;      ///< this rank's contribution element count
-  void* gathered_ = nullptr;     ///< Gathered<T>* for iallgatherv_into
+  /// Gathered<T>* for iallgatherv_into / ialltoallv_into; the caller's
+  /// CompressBuf* for the coded kinds.
+  void* gathered_ = nullptr;
   std::uint64_t drained_mask_ = 0;  ///< sources the caller consumed
   std::uint64_t landed_mask_ = 0;   ///< sources awaited and charged
-  bool waited_ = false;  ///< completed by an explicit wait (double-wait check)
   void (*complete_)(PendingOp&) = nullptr;  ///< typed movement + charge
-};
-
-/// Handle to a posted compressed reduction (iallreduce_sum_compressed /
-/// ireduce_scatter_sum_compressed). Move-only. wait() completes the
-/// underlying byte all-gather, decodes and sums this rank's result, and
-/// charges CommCategory::kCompressed with the actual post-compression
-/// bytes; codec time lands in Phase::kCompressPack when the posting call
-/// was given a profiler. Like any nonblocking source, the CompressBuf's
-/// send bytes stay readable by peers until the communicator's release
-/// point — record ticket() before wait() and release with
-/// Comm::quiesce_op (or a later Comm::quiesce). A handle destroyed while
-/// still pending completes itself first, like PendingOp.
-class PendingCompressedReduce {
- public:
-  PendingCompressedReduce() = default;  ///< empty handle; pending() false
-
-  PendingCompressedReduce(PendingCompressedReduce&& other) noexcept {
-    *this = std::move(other);
-  }
-  PendingCompressedReduce& operator=(
-      PendingCompressedReduce&& other) noexcept {
-    if (this != &other) {
-      complete_for_destroy();
-      op_ = std::move(other.op_);
-      state_ = std::move(other.state_);
-      buf_ = other.buf_;
-      meter_ = other.meter_;
-      profiler_ = other.profiler_;
-      mode_ = other.mode_;
-      scatter_ = other.scatter_;
-      out_ = other.out_;
-      out_len_ = other.out_len_;
-      n_ = other.n_;
-      rank_ = other.rank_;
-      size_ = other.size_;
-      other.buf_ = nullptr;
-    }
-    return *this;
-  }
-
-  PendingCompressedReduce(const PendingCompressedReduce&) = delete;
-  PendingCompressedReduce& operator=(const PendingCompressedReduce&) = delete;
-
-  ~PendingCompressedReduce() { complete_for_destroy(); }
-
-  /// True between post and wait (false for the exact P == 1 fast path,
-  /// which completes at post time).
-  bool pending() const { return buf_ != nullptr; }
-
-  /// Posting-order ticket of the underlying byte gather (valid while
-  /// pending); record it before wait() to release the send bytes with
-  /// Comm::quiesce_op.
-  std::uint64_t ticket() const { return op_.ticket(); }
-
-  /// Complete: block for all posts, decode + sum, charge kCompressed.
-  void wait();  // comm.cpp
-
- private:
-  friend class Comm;
-
-  void complete_for_destroy() noexcept {
-    if (!pending()) return;
-    try {
-      wait();
-    } catch (...) {
-      buf_ = nullptr;  // unwinding a failed world; nothing left to finish
-      state_.reset();
-    }
-  }
-
-  PendingOp op_;
-  /// Kept alongside op_ (which drops its own ref at wait) so the decode
-  /// epilogue can reach the contract checker for charge attribution.
-  std::shared_ptr<detail::CommState> state_;
-  CompressBuf* buf_ = nullptr;
-  CostMeter* meter_ = nullptr;
-  Profiler* profiler_ = nullptr;
-  CompressMode mode_ = CompressMode::kOff;
-  bool scatter_ = false;
-  Real* out_ = nullptr;
-  std::size_t out_len_ = 0;
-  std::size_t n_ = 0;  ///< full contribution element count
+  Profiler* codec_profiler_ = nullptr;  ///< the coded kinds' codec timer
   int rank_ = 0;
-  int size_ = 0;
+  int root_ = -1;
+  CommCategory cat_ = CommCategory::kControl;
+  detail::PostMode mode_ = detail::PostMode::kAsync;
+  detail::OpKind kind_ = detail::OpKind::kNone;
+  CompressMode codec_mode_ = CompressMode::kOff;  ///< the coded kinds' codec
+  bool charged_ = true;
+  bool waited_ = false;  ///< completed by an explicit wait (double-wait check)
 };
+
+// Rank threads grow vectors of handles (the deferred reductions' slots)
+// and free the outgrown blocks into their heaps, where small allocations
+// made later on the rank (e.g. a caller's end-of-world result copies)
+// reuse them. In a larger block class those copies land at the top of the
+// rank's heap and, freed later by another thread, keep it from shrinking
+// between worlds: at 144 bytes, replicated-15d's peak RSS rose ~10%.
+static_assert(sizeof(PendingOp) <= 120,
+              "PendingOp must stay within the 128-byte heap block class");
 
 /// One rank's endpoint of a simulated communicator. Default-constructed
 /// Comms are *invalid* (valid() is false); every collective, barrier, and
@@ -689,6 +656,10 @@ class Comm {
   /// exactly that seam. Purely local: no rendezvous, no ordering effect.
   void notify_event(CommCategory cat, const char* op) {
     check_valid("notify_event");
+    if (state_->hub->fault == nullptr) return;
+    // A window, like the post seam's: a kill here must not free sources
+    // peers are still reading (see Comm::post_async).
+    detail::CollectiveWindow window(*state_, rank_);
     detail::seam_event(*state_, {rank_, cat, op}, FaultSite::kCharge);
   }
 
@@ -855,7 +826,18 @@ class Comm {
   // charges are identical. `charged = false`
   // suppresses the automatic charge for callers that account the traffic
   // themselves (e.g. an op split into chunks whose per-chunk integer
-  // charges would not sum to the unsplit op's). ----
+  // charges would not sum to the unsplit op's).
+  //
+  // Coded reductions (the CAGNET_COMPRESS paths): iallreduce_sum and
+  // ireduce_scatter_sum take an optional Codec. A lossy codec changes
+  // only the payload, not the collective: the op is an ordinary
+  // PendingOp on the ring whose published source is the encoded bytes
+  // in codec.buf->send (stable until the op's release point, like any
+  // source), whose wait decode-sums in ascending rank order (identical on
+  // every rank, bitwise reproducible for any thread count), and which
+  // charges CommCategory::kCompressed with the ACTUAL post-compression
+  // bytes (converted to Real-sized words, hence fractional values).
+  // No codec, mode kOff, or P == 1 post the exact op unchanged. ----
 
   /// Nonblocking broadcast_from: the root posts `src` (left untouched and
   /// readable by peers until every rank has waited); every other rank
@@ -881,6 +863,19 @@ class Comm {
                       &PendingOp::complete_impl<T>, out.data(), out.size(),
                       contrib.size(), nullptr);
   }
+
+  /// ireduce_scatter_sum with an optional lossy codec. When the codec is
+  /// active and coding undercuts the exact wire
+  /// (reduce_scatter_compression_pays — rank-uniform, it depends only on
+  /// mode, length and size()), every rank encodes its full contribution
+  /// at post behind a u64 out-length header, and the wait decodes this
+  /// rank's slice of every rank's bytes, summing in ascending rank order;
+  /// the op charges kCompressed with lg(P) latency units and the
+  /// gathered bytes' (P-1)/P, headers included. Otherwise it is the exact
+  /// op above.
+  PendingOp ireduce_scatter_sum(std::span<const Real> contrib,
+                                std::span<Real> out, CommCategory cat,
+                                const Codec& codec);  // comm.cpp
 
   /// Nonblocking allgatherv_into. `out` (resized at wait) must outlive the
   /// op and `mine` must not alias `out.data`. Charged like allgatherv.
@@ -908,6 +903,15 @@ class Comm {
                       &PendingOp::complete_impl<T>, out.data(), out.size(),
                       contrib.size(), nullptr);
   }
+
+  /// iallreduce_sum with an optional lossy codec. An active codec encodes
+  /// `contrib` at post (so `contrib` is free on return) and the wait
+  /// decode-sums every rank's bytes in ascending rank order — the same
+  /// result on every rank; the op charges kCompressed with 2 lg(P)
+  /// latency units and 2 E (P-1)/P bytes, E the encoded size. Otherwise
+  /// it is the exact op above.
+  PendingOp iallreduce_sum(std::span<const Real> contrib, std::span<Real> out,
+                           CommCategory cat, const Codec& codec);  // comm.cpp
 
   /// Nonblocking alltoallv_into. `send` AND `send_offsets` must stay valid
   /// and unmodified until every rank has waited (peers read both at their
@@ -949,52 +953,6 @@ class Comm {
                       &PendingOp::complete_drain_impl<T>, nullptr, 0,
                       send.size(), nullptr, send_offsets.data());
   }
-
-  // ---- Compressed collectives (the CAGNET_COMPRESS paths). All charge
-  // CommCategory::kCompressed with the ACTUAL post-compression bytes
-  // (converted to Real-sized words, hence fractional values appear), and
-  // time codec work under Phase::kCompressPack when given a profiler —
-  // call sites must NOT wrap these in their own ScopedPhase. The lossy
-  // result is sum over ranks of decode(encode(contrib_r)), decoded in
-  // ascending rank order on every rank, so it is identical across ranks
-  // and bitwise reproducible for any thread count. P == 1 degenerates to
-  // the exact copy (no codec round-trip) and charges nothing, like the
-  // exact collectives. ----
-
-  /// Blocking in-place lossy all-reduce sum. Implemented as an all-gather
-  /// of encoded bytes plus a local decode-sum; returns after a trailing
-  /// release rendezvous, so `buf` may be reused immediately. Charges
-  /// 2 lg(P) latency units and 2 E (P-1)/P bytes, E the encoded size.
-  void allreduce_sum_compressed(std::span<Real> data, CompressMode mode,
-                                CompressBuf& buf,
-                                Profiler* profiler = nullptr);
-
-  /// Nonblocking out-of-place lossy all-reduce sum: `out` (same length as
-  /// `contrib`, or aliasing it exactly) receives the decoded total at
-  /// wait(). `contrib` is consumed at post time (the encode is the
-  /// staging copy); buf.send must stay unmodified until the op's release
-  /// point (quiesce / quiesce_op on ticket()).
-  PendingCompressedReduce iallreduce_sum_compressed(
-      std::span<const Real> contrib, std::span<Real> out, CompressMode mode,
-      CompressBuf& buf, Profiler* profiler = nullptr);
-
-  /// Blocking lossy reduce-scatter sum, same chunking contract as
-  /// reduce_scatter_sum (chunk boundaries are the concatenation of every
-  /// rank's out.size(), which may differ per rank — the 1.5D keeper-only
-  /// form). Wire format per rank: [u64 out-length header][encoded full
-  /// contribution]; every rank gathers all of them and decodes only its
-  /// own slice. Charges lg(P) latency units and the gathered bytes'
-  /// (P-1)/P (headers included — they are real wire bytes).
-  void reduce_scatter_sum_compressed(std::span<const Real> contrib,
-                                     std::span<Real> out, CompressMode mode,
-                                     CompressBuf& buf,
-                                     Profiler* profiler = nullptr);
-
-  /// Nonblocking form of reduce_scatter_sum_compressed; same contract as
-  /// iallreduce_sum_compressed regarding buf.send's lifetime.
-  PendingCompressedReduce ireduce_scatter_sum_compressed(
-      std::span<const Real> contrib, std::span<Real> out, CompressMode mode,
-      CompressBuf& buf, Profiler* profiler = nullptr);
 
  private:
   friend void run_world(int, const std::function<void(Comm&)>&,
@@ -1041,6 +999,12 @@ class Comm {
       buf.bound_n = n;
     }
   }
+
+  /// Encode `contrib` into codec.buf's send bytes (behind a u64
+  /// out-length header for the reduce-scatter) and post them as a coded
+  /// op of `kind` on the ring. Out-of-line (comm.cpp).
+  PendingOp post_coded(detail::OpKind kind, std::span<const Real> contrib,
+                       std::span<Real> out, const Codec& codec) const;
 
   /// Claim the next ticket (on the ring for kAsync, on the synchronous
   /// channel otherwise), publish this rank's slot on its channel, and hand
@@ -1121,7 +1085,7 @@ class Comm {
 
 template <typename T>
 void PendingOp::complete_impl(PendingOp& op) {
-  const detail::AsyncChannel& ch = *op.ch_;
+  const detail::AsyncChannel& ch = op.channel();
   const int p = op.state_->size;
   const detail::OpContext ctx{op.rank_, op.cat_, op.name_};
   if (op.kind_ == detail::OpKind::kBcast && op.rank_ == op.root_) {
@@ -1272,6 +1236,8 @@ void PendingOp::complete_impl(PendingOp& op) {
     }
     case detail::OpKind::kBarrier:
       break;
+    case detail::OpKind::kCodedAllreduce:
+    case detail::OpKind::kCodedReduceScatter:  // complete_coded's
     case detail::OpKind::kNone:
       CAGNET_CHECK(false, "completing an unarmed PendingOp");
   }

@@ -74,7 +74,7 @@ constexpr std::size_t kCompressChunk = 256;
 /// op's wire bytes. Its transport is an all-gather of every rank's full
 /// encoded contribution (plus a u64 length header each), so the byte win
 /// is roughly (8/P) x the codec ratio: int8 pays up to P ~ 7, 1-bit far
-/// beyond, fp16 never. Callers fall back to the exact reduce-scatter when
+/// beyond, fp16 never. Comm::ireduce_scatter_sum posts the exact op when
 /// compression would inflate the wire; the gate is a pure function of
 /// (mode, n, p), so it is rank-uniform and overlap-mode invariant.
 bool reduce_scatter_compression_pays(CompressMode mode, std::size_t n, int p);

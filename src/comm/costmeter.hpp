@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "src/comm/machine.hpp"
@@ -16,7 +17,7 @@
 namespace cagnet {
 
 /// What kind of payload a communication operation carried.
-enum class CommCategory : std::size_t {
+enum class CommCategory : std::uint8_t {
   kDense = 0,   ///< activations, gradients, intermediate dense products
   kSparse,      ///< adjacency submatrices (SUMMA broadcasts of A)
   kTranspose,   ///< distributed transpose traffic

@@ -294,38 +294,20 @@ void Algebra15D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
         std::span<const std::size_t>(halo_.send_row_offsets), g_, slice_,
         halo_, CommCategory::kDense, machine(), stats, u);
   } else {
-    // Same pays-off gate as the 1D path: the compressed reduce-scatter is
-    // an all-gather of full encoded contributions, a win only when the
-    // codec ratio beats the slice size.
-    CompressMode rmode =
-        slice_.size() > 1 ? row_compress_mode() : CompressMode::kOff;
-    if (!reduce_scatter_compression_pays(rmode, u_partial_.flat().size(),
-                                         slice_.size())) {
-      rmode = CompressMode::kOff;
-    }
-    // Reduce-scatter within the slice: slice rank j' keeps U[R_j'] when
-    // j' ≡ t (mod c), nothing otherwise (chunk order is ascending j, which
-    // is ascending slice rank). The keeper's chunk lands directly in u.
-    // The nonblocking form skips the blocking call's release (u_partial_'s
-    // release is the quiesce above, a layer later); the lossy-coded form
-    // times itself.
-    if (rmode != CompressMode::kOff) {
-      PendingCompressedReduce op = slice_.ireduce_scatter_sum_compressed(
-          std::span<const Real>(u_partial_.flat()),
-          keeper ? u.flat() : std::span<Real>{}, rmode, u_cbuf_,
-          &stats.profiler);
-      u_release_ticket_ = op.ticket();
-      has_u_release_ = true;
-      op.wait();
-    } else {
-      ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-      PendingOp op = slice_.ireduce_scatter_sum(
-          std::span<const Real>(u_partial_.flat()),
-          keeper ? u.flat() : std::span<Real>{}, CommCategory::kDense);
-      u_release_ticket_ = op.ticket();
-      has_u_release_ = true;
-      op.wait();
-    }
+    // Reduce-scatter within the slice (lossy-coded when the row codec
+    // pays): slice rank j' keeps U[R_j'] when j' ≡ t (mod c), nothing
+    // otherwise (chunk order is ascending j, which is ascending slice
+    // rank). The keeper's chunk lands directly in u. The nonblocking form
+    // skips the blocking call's release (u_partial_'s release is the
+    // quiesce above, a layer later).
+    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
+    PendingOp op = slice_.ireduce_scatter_sum(
+        std::span<const Real>(u_partial_.flat()),
+        keeper ? u.flat() : std::span<Real>{}, CommCategory::kDense,
+        Codec{row_compress_mode(), &u_cbuf_, &stats.profiler});
+    u_release_ticket_ = op.ticket();
+    has_u_release_ = true;
+    op.wait();
   }
   // Team broadcast from the member holding this group's block: group g's
   // reduced (or landed) block is on team member g mod c (the keeper).

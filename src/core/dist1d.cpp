@@ -138,36 +138,16 @@ void Algebra1D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
                         static_cast<double>(f),
                         dist::block_degree(a_col_block_));
   }
-  // ... reduce-scattered back to block rows. The nonblocking form skips
-  // the blocking call's release (u_partial_'s release is the quiesce
-  // above, a layer later).
+  // ... reduce-scattered back to block rows, lossy-coded when the
+  // CAGNET_COMPRESS row codec pays on this wire. The nonblocking form
+  // skips the blocking call's release (u_partial_'s release is the
+  // quiesce above, a layer later).
   u.resize(local_rows(), f);
-  // The compressed reduce-scatter gathers full encoded contributions, so
-  // it only pays at small worlds / high codec ratios; fall back to the
-  // exact wire when coding would inflate the bytes (fp16 always, int8
-  // beyond P ~ 7). The gate is rank-uniform: same (mode, n, P) everywhere.
-  CompressMode rmode =
-      world_.size() > 1 ? row_compress_mode() : CompressMode::kOff;
-  if (!reduce_scatter_compression_pays(rmode, u_partial_.flat().size(),
-                                       world_.size())) {
-    rmode = CompressMode::kOff;
-  }
-  if (rmode != CompressMode::kOff) {
-    // Lossy-coded U reduce-scatter (the op times itself), released like
-    // the exact path; the wait here only completes this rank's decode,
-    // peers drain later.
-    PendingCompressedReduce op = world_.ireduce_scatter_sum_compressed(
-        std::span<const Real>(u_partial_.flat()), u.flat(), rmode, u_cbuf_,
-        &stats.profiler);
-    u_release_ticket_ = op.ticket();
-    has_u_release_ = true;
-    op.wait();
-    return;
-  }
   ScopedPhase scope(stats.profiler, Phase::kDenseComm);
   PendingOp op = world_.ireduce_scatter_sum(
       std::span<const Real>(u_partial_.flat()), u.flat(),
-      CommCategory::kDense);
+      CommCategory::kDense,
+      Codec{row_compress_mode(), &u_cbuf_, &stats.profiler});
   u_release_ticket_ = op.ticket();
   has_u_release_ = true;
   op.wait();

@@ -272,12 +272,6 @@ void settle(PendingOp& op) {
   done.wait();
 }
 
-void settle(PendingCompressedReduce& op) {
-  if (overlap_enabled()) return;
-  PendingCompressedReduce done = std::move(op);
-  done.wait();
-}
-
 bool halo_enabled() { return g_halo_enabled; }
 void set_halo_enabled(bool on) { g_halo_enabled = on; }
 
@@ -696,37 +690,11 @@ void begin_allreduce_weight_gradient(Matrix& y_partial, Index f_in,
                                      Matrix& y_full) {
   CAGNET_CHECK(y_partial.rows() == f_in && y_partial.cols() == f_out,
                "reduce_gradients: unexpected partial shape");
-  const CompressMode gmode = gradient_compress_mode();
-  if (gmode != CompressMode::kOff) {
-    if (pending.count + pending.ccount == 0 && pending.has_release) {
-      ScopedPhase scope(profiler, Phase::kDenseComm);
-      // Release last cycle's encoded sends. Targeted (not a full
-      // quiesce): unrelated ops may legitimately still be in flight
-      // here — see PendingGradReduce::release_ticket.
-      comm.quiesce_op(pending.release_ticket);
-      pending.has_release = false;
-    }
-    // The encode IS the staging copy: peers read the stable buf.send of
-    // the layer's CompressBuf, so y_partial is free immediately and no
-    // pending.src slot is needed. The op times itself.
-    const std::size_t i = pending.ccount++;
-    y_full.resize(f_in, f_out);
-    PendingCompressedReduce& op = pending_slot(pending.cops, i);
-    op = comm.iallreduce_sum_compressed(
-        std::span<const Real>(y_partial.flat()), y_full.flat(), gmode,
-        pending.compress_slot(i), &profiler);
-    if (op.pending()) {  // P == 1 completes at post and sends nothing
-      pending.release_ticket = op.ticket();
-      pending.has_release = true;
-    }
-    settle(op);
-    return;
-  }
   ScopedPhase scope(profiler, Phase::kDenseComm);
-  if (pending.count + pending.ccount == 0 && pending.has_release) {
-    // Release point for last cycle's staged partials (peers read them at
-    // their finish waits); long drained by now. Targeted, so ops posted
-    // after that cycle's waits stay untouched.
+  if (pending.count == 0 && pending.has_release) {
+    // Release point for last cycle's staged partials and encoded sends
+    // (peers read them at their finish waits); long drained by now.
+    // Targeted, so ops posted after that cycle's waits stay untouched.
     comm.quiesce_op(pending.release_ticket);
     pending.has_release = false;
   }
@@ -738,7 +706,7 @@ void begin_allreduce_weight_gradient(Matrix& y_partial, Index f_in,
   y_full.resize(f_in, f_out);
   PendingOp& op = pending_slot(pending.ops, i);
   op = comm.iallreduce_sum(std::span<const Real>(src.flat()), y_full.flat(),
-                           CommCategory::kDense);
+                           CommCategory::kDense, pending.codec(i, profiler));
   pending.release_ticket = op.ticket();
   pending.has_release = true;
   settle(op);
@@ -746,15 +714,9 @@ void begin_allreduce_weight_gradient(Matrix& y_partial, Index f_in,
 
 void finish_allreduce_weight_gradient(Profiler& profiler,
                                       PendingGradReduce& pending) {
-  {
-    ScopedPhase scope(profiler, Phase::kDenseComm);
-    for (std::size_t i = 0; i < pending.count; ++i) pending.ops[i].wait();
-  }
-  // Compressed ops time themselves (wire wait under kDenseComm, decode
-  // under kCompressPack).
-  for (std::size_t i = 0; i < pending.ccount; ++i) pending.cops[i].wait();
+  ScopedPhase scope(profiler, Phase::kDenseComm);
+  for (std::size_t i = 0; i < pending.count; ++i) pending.ops[i].wait();
   pending.count = 0;
-  pending.ccount = 0;
 }
 
 void begin_assemble_weight_gradient(Matrix& y_slice, Index f_in,
@@ -762,28 +724,6 @@ void begin_assemble_weight_gradient(Matrix& y_slice, Index f_in,
                                     Profiler& profiler,
                                     PendingGradReduce& pending,
                                     Matrix& y_full) {
-  const CompressMode gmode = gradient_compress_mode();
-  if (gmode != CompressMode::kOff) {
-    if (pending.count + pending.ccount == 0) {
-      ScopedPhase scope(profiler, Phase::kDenseComm);
-      reduce_comm.quiesce();  // release last epoch's encoded sends
-    }
-    // Lossy slice sum into the reduced slot; the exact row gather is
-    // posted at finish once the decode lands. The encode is the staging
-    // copy (peers read the layer buf's stable send bytes), so y_slice is
-    // free on return. The op times itself.
-    const std::size_t i = pending.ccount++;
-    Matrix& reduced = pending_slot(pending.reduced, i);
-    reduced.resize(y_slice.rows(), y_slice.cols());
-    PendingCompressedReduce& op = pending_slot(pending.cops, i);
-    op = reduce_comm.iallreduce_sum_compressed(
-        std::span<const Real>(y_slice.flat()), reduced.flat(), gmode,
-        pending.compress_slot(i), &profiler);
-    settle(op);
-    pending_slot(pending.targets, i) = &y_full;
-    pending_slot(pending.dims, i) = {f_in, f_out};
-    return;
-  }
   ScopedPhase scope(profiler, Phase::kDenseComm);
   if (pending.count == 0) reduce_comm.quiesce();  // release last epoch's
   const std::size_t i = pending.count++;
@@ -795,7 +735,8 @@ void begin_assemble_weight_gradient(Matrix& y_slice, Index f_in,
   reduced.resize(y_slice.rows(), y_slice.cols());
   PendingOp& op = pending_slot(pending.ops, i);
   op = reduce_comm.iallreduce_sum(std::span<const Real>(src.flat()),
-                                  reduced.flat(), CommCategory::kDense);
+                                  reduced.flat(), CommCategory::kDense,
+                                  pending.codec(i, profiler));
   settle(op);
   pending_slot(pending.targets, i) = &y_full;
   pending_slot(pending.dims, i) = {f_in, f_out};
@@ -820,22 +761,7 @@ void finish_assemble_weight_gradient(int parts, Comm& row_comm,
       settle(gather);
     }
   }
-  // Compressed layers: complete each lossy slice sum (the op times its
-  // own wait/decode) and launch its exact row gather. Modes never mix
-  // within an epoch, so slot indices of the two families both start at 0
-  // and never collide.
-  for (std::size_t i = 0; i < pending.ccount; ++i) {
-    pending.cops[i].wait();
-    ScopedPhase scope(profiler, Phase::kDenseComm);
-    auto& gathered = pending_slot(pending.gathered, i);
-    if (!gathered) gathered = std::make_unique<Gathered<Real>>();
-    PendingOp& gather = pending_slot(pending.gather_ops, i);
-    gather = row_comm.iallgatherv_into(
-        std::span<const Real>(pending.reduced[i].flat()), *gathered,
-        CommCategory::kDense);
-    settle(gather);
-  }
-  for (std::size_t i = 0; i < pending.count + pending.ccount; ++i) {
+  for (std::size_t i = 0; i < pending.count; ++i) {
     {
       ScopedPhase scope(profiler, Phase::kDenseComm);
       pending.gather_ops[i].wait();
@@ -853,7 +779,6 @@ void finish_assemble_weight_gradient(int parts, Comm& row_comm,
     }
   }
   pending.count = 0;
-  pending.ccount = 0;
 }
 
 std::vector<Index> row_starts(const DistProblem& problem, int parts) {

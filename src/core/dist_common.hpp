@@ -178,7 +178,6 @@ void set_overlap_enabled(bool on);
 /// (PendingOp::await_all_sources) and stays pending for the caller's
 /// drains and final wait(). With overlap on, does nothing.
 void settle(PendingOp& op);
-void settle(PendingCompressedReduce& op);
 
 /// Process-global switch for the sparsity-aware halo exchange of the 1D /
 /// 1.5D families (default off; the CAGNET_HALO env var, read once at
@@ -754,13 +753,12 @@ struct PendingGradReduce {
   std::vector<Matrix*> targets;            ///< y_full per layer
   std::vector<std::pair<Index, Index>> dims;  ///< (f_in, f_out) per layer
   std::size_t count = 0;                   ///< layers posted this epoch
-  /// Compressed-path state (CAGNET_COMPRESS != off). One CompressBuf per
-  /// layer, error feedback on: the residual store is the codec's memory
-  /// across epochs, so slot i must always serve the same layer.
-  /// unique_ptr for address stability while in-flight ops hold the slot.
+  /// Codec state of the CAGNET_COMPRESS gradient reduction. One
+  /// CompressBuf per layer, error feedback on: the residual store is the
+  /// codec's memory across epochs, so slot i must always serve the same
+  /// layer. unique_ptr for address stability while in-flight ops hold
+  /// the slot; created on first coded use only.
   std::vector<std::unique_ptr<CompressBuf>> cbufs;
-  std::vector<PendingCompressedReduce> cops;  ///< in-flight compressed ops
-  std::size_t ccount = 0;                  ///< compressed layers posted
   /// Targeted release of the previous cycle's staged sends: the ticket of
   /// the cycle's last posted op. Every rank waits its cycle's ops in
   /// posting order, so that op being globally finished implies every
@@ -772,14 +770,17 @@ struct PendingGradReduce {
   std::uint64_t release_ticket = 0;
   bool has_release = false;
 
-  /// Grow-once residual slot for layer `i` (error feedback enabled).
-  CompressBuf& compress_slot(std::size_t i) {
+  /// The gradient codec of layer `i` (gradient_compress_mode(), its
+  /// grow-once residual slot, codec seconds timed into `profiler`).
+  Codec codec(std::size_t i, Profiler& profiler) {
+    const CompressMode mode = gradient_compress_mode();
+    if (mode == CompressMode::kOff) return {};
     if (cbufs.size() <= i) cbufs.resize(i + 1);
     if (!cbufs[i]) {
       cbufs[i] = std::make_unique<CompressBuf>();
       cbufs[i]->error_feedback = true;
     }
-    return *cbufs[i];
+    return {mode, cbufs[i].get(), &profiler};
   }
 };
 

@@ -63,18 +63,36 @@ class Profiler {
 };
 
 /// RAII scope timer: adds its lifetime to `profiler[phase]` on destruction.
+/// Scopes on one thread and profiler nest exclusively: an inner scope's
+/// seconds go to its own phase only and are taken out of the enclosing
+/// scope's, so every second lands in exactly one phase (e.g. a coded
+/// reduction's codec work inside a caller's dcomm scope counts as cpack).
 class ScopedPhase {
  public:
   ScopedPhase(Profiler& profiler, Phase phase)
-      : profiler_(profiler), phase_(phase) {}
-  ~ScopedPhase() { profiler_.add(phase_, timer_.seconds()); }
+      : profiler_(profiler), phase_(phase), outer_(innermost_) {
+    innermost_ = this;
+  }
+  ~ScopedPhase() {
+    const double seconds = timer_.seconds();
+    profiler_.add(phase_, seconds - nested_);
+    if (outer_ != nullptr && &outer_->profiler_ == &profiler_) {
+      outer_->nested_ += seconds;
+    }
+    innermost_ = outer_;
+  }
 
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;
 
  private:
+  /// The open scope this thread entered last (the chain runs outward).
+  static inline thread_local ScopedPhase* innermost_ = nullptr;
+
   Profiler& profiler_;
   Phase phase_;
+  ScopedPhase* outer_;
+  double nested_ = 0.0;  ///< seconds of scopes nested in this one
   WallTimer timer_;
 };
 

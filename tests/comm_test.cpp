@@ -620,35 +620,43 @@ TEST(InvalidComm, CollectivesFailWithDiagnostic) {
 }
 
 TEST(InvalidComm, CompressedCollectivesFailWithDiagnostic) {
-  // Diagnostic parity: the lossy entry points must fail like the exact
-  // ones, not dereference null state (or worse, bind the CompressBuf to a
-  // dead communicator).
+  // Diagnostic parity: the coded forms must fail like the exact ones, not
+  // dereference null state (or worse, bind the CompressBuf to a dead
+  // communicator).
   Comm comm;  // default-constructed: invalid
   std::vector<Real> data(8, 1.0);
+  std::vector<Real> out(8, 0.0);
   CompressBuf buf;
-  EXPECT_THROW(comm.allreduce_sum_compressed(std::span<Real>(data),
-                                             CompressMode::kInt8, buf),
+  const Codec codec{CompressMode::kInt8, &buf};
+  EXPECT_THROW(comm.iallreduce_sum(std::span<const Real>(data),
+                                   std::span<Real>(out), CommCategory::kDense,
+                                   codec),
                Error);
-  EXPECT_THROW(comm.reduce_scatter_sum_compressed(
-                   std::span<const Real>(data), std::span<Real>(data),
-                   CompressMode::kInt8, buf),
-               Error);
-  EXPECT_THROW(comm.iallreduce_sum_compressed(std::span<const Real>(data),
-                                              std::span<Real>(data),
-                                              CompressMode::kInt8, buf),
-               Error);
-  EXPECT_THROW(comm.ireduce_scatter_sum_compressed(
-                   std::span<const Real>(data), std::span<Real>(data),
-                   CompressMode::kInt8, buf),
+  EXPECT_THROW(comm.ireduce_scatter_sum(std::span<const Real>(data),
+                                        std::span<Real>(out),
+                                        CommCategory::kDense, codec),
                Error);
   try {
-    comm.allreduce_sum_compressed(std::span<Real>(data), CompressMode::kInt8,
-                                  buf);
-    FAIL() << "compressed all-reduce on invalid Comm did not throw";
+    comm.iallreduce_sum(std::span<const Real>(data), std::span<Real>(out),
+                        CommCategory::kDense, codec);
+    FAIL() << "coded all-reduce on invalid Comm did not throw";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("invalid Comm"), std::string::npos);
   }
   EXPECT_TRUE(buf.residual.empty());  // never bound, never touched
+}
+
+/// Coded all-reduce of `src` into `out`, waited and released (peers read
+/// buf.send until every rank has waited).
+void coded_allreduce(Comm& comm, CompressBuf& buf, std::span<const Real> src,
+                     std::vector<Real>& out) {
+  out.assign(src.size(), 0.0);
+  PendingOp op =
+      comm.iallreduce_sum(src, std::span<Real>(out), CommCategory::kDense,
+                          Codec{CompressMode::kInt8, &buf});
+  const std::uint64_t ticket = op.ticket();
+  op.wait();
+  comm.quiesce_op(ticket);
 }
 
 TEST(Compressed, ResidualCarriesWithinAStreamAndResetsOnRebind) {
@@ -665,10 +673,8 @@ TEST(Compressed, ResidualCarriesWithinAStreamAndResetsOnRebind) {
     }
     const auto round = [](Comm& c, CompressBuf& buf,
                           std::span<const Real> src, std::vector<Real>& out) {
-      out.assign(src.begin(), src.end());
       buf.error_feedback = true;
-      c.allreduce_sum_compressed(std::span<Real>(out), CompressMode::kInt8,
-                                 buf);
+      coded_allreduce(c, buf, src, out);
     };
 
     std::vector<Real> fresh1;
@@ -1494,10 +1500,9 @@ TEST(Abort, CompressedCollectiveAbortAndResidualRebindOnRebuiltWorld) {
   };
   const auto round = [&](Comm& world, CompressBuf& buf,
                          std::vector<Real>& out) {
-    out = contrib(world.rank());
+    const std::vector<Real> mine = contrib(world.rank());
     buf.error_feedback = true;
-    world.allreduce_sum_compressed(std::span<Real>(out), CompressMode::kInt8,
-                                   buf);
+    coded_allreduce(world, buf, mine, out);
   };
 
   std::vector<Real> fresh_result;

@@ -1,9 +1,10 @@
 // Compressed-communication tests: codec units (error bounds, determinism,
-// error feedback), the compressed collectives' decode-sum semantics and
+// error feedback), the coded reductions' decode-sum semantics and
 // metered words-on-wire, and trainer-level lossy convergence on the
 // planted-partition graph — the acceptance contract of the lossy modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -227,7 +228,16 @@ TEST(CompressCodec, ErrorFeedbackTelescopes) {
   }
 }
 
-// ---- Compressed collectives: decode-sum semantics and metered bytes ----
+// ---- Coded reductions: decode-sum semantics and metered bytes ----
+
+/// Post `op`, wait it, and release it: peers read this rank's encoded
+/// send bytes until every rank has waited, so a CompressBuf may only be
+/// reused or destroyed after the release.
+void wait_and_release(Comm& comm, PendingOp op) {
+  const std::uint64_t ticket = op.ticket();
+  op.wait();
+  comm.quiesce_op(ticket);
+}
 
 TEST(CompressedCollectives, AllreduceMatchesLocalDecodeSumAndMeter) {
   const std::size_t n = 1000;
@@ -248,14 +258,18 @@ TEST(CompressedCollectives, AllreduceMatchesLocalDecodeSumAndMeter) {
         for (std::size_t i = 0; i < n; ++i) expect[i] += dec[i];
       }
 
-      std::vector<Real> mine = wave(n, world.rank());
+      const std::vector<Real> mine = wave(n, world.rank());
+      std::vector<Real> out(n, -1);
       CompressBuf buf;
       const CostMeter before = world.meter();
-      world.allreduce_sum_compressed(std::span<Real>(mine), mode, buf);
+      wait_and_release(world, world.iallreduce_sum(
+                                  std::span<const Real>(mine),
+                                  std::span<Real>(out), CommCategory::kDense,
+                                  Codec{mode, &buf}));
       CostMeter delta = world.meter();
       delta.subtract(before);
 
-      EXPECT_EQ(mine, expect) << compress_mode_name(mode);
+      EXPECT_EQ(out, expect) << compress_mode_name(mode);
       // 2 E (P-1)/P wire bytes in Real-sized words, 2 lg P latency.
       EXPECT_DOUBLE_EQ(delta.words(CommCategory::kCompressed),
                        2.0 * static_cast<double>(enc_bytes) * (p - 1) / p /
@@ -270,103 +284,115 @@ TEST(CompressedCollectives, AllreduceMatchesLocalDecodeSumAndMeter) {
 
 TEST(CompressedCollectives, ReduceScatterMatchesOracleAndMeter) {
   // Uneven scatter chunks (one rank keeps nothing): the 1.5D keeper-only
-  // form. Wire carries a u64 length header plus the encoded contribution
-  // per rank; each rank decodes only its own slice.
+  // form. The coded wire carries a u64 length header plus the encoded
+  // contribution per rank, and each rank decodes only its own slice; it
+  // is chosen only where it undercuts the exact wire
+  // (reduce_scatter_compression_pays), so the same call stays exact for
+  // fp16 and for int8 at P = 8.
   const std::size_t n = 300;
-  const int p = 4;
-  const std::vector<std::size_t> lens = {100, 50, 0, 150};
-  run_world(p, [&](Comm& world) {
-    const CompressMode mode = CompressMode::kInt8;
-    const int rank = world.rank();
-    std::size_t lo = 0;
-    for (int r = 0; r < rank; ++r) lo += lens[static_cast<std::size_t>(r)];
-    const std::size_t len = lens[static_cast<std::size_t>(rank)];
+  struct Case {
+    CompressMode mode;
+    std::vector<std::size_t> lens;  ///< per-rank out lengths, sum n
+    bool coded;
+  };
+  const std::vector<Case> cases = {
+      {CompressMode::kInt8, {100, 50, 0, 150}, true},
+      {CompressMode::kFp16, {100, 50, 0, 150}, false},
+      {CompressMode::kInt8, {100, 50, 0, 50, 25, 25, 25, 25}, false},
+  };
+  for (const Case& c : cases) {
+    const int p = static_cast<int>(c.lens.size());
+    const CompressMode mode = c.mode;
+    run_world(p, [&](Comm& world) {
+      const int rank = world.rank();
+      std::size_t lo = 0;
+      for (int r = 0; r < rank; ++r) lo += c.lens[static_cast<std::size_t>(r)];
+      const std::size_t len = c.lens[static_cast<std::size_t>(rank)];
 
-    const std::size_t enc_bytes = encoded_size_bytes(mode, n);
-    std::vector<std::uint8_t> enc(enc_bytes);
-    std::vector<Real> expect(len, 0);
-    std::vector<Real> slice(len);
-    for (int r = 0; r < p; ++r) {
-      const std::vector<Real> contrib = wave(n, 100 + r);
-      compress_encode(mode, contrib, enc.data(), nullptr);
-      compress_decode_range(mode, enc.data(), n, lo, lo + len, slice.data());
-      for (std::size_t i = 0; i < len; ++i) expect[i] += slice[i];
-    }
+      // Oracle: zero, then ranks ascending — of decoded slices on the
+      // coded wire, of the exact contributions otherwise.
+      const std::size_t enc_bytes = encoded_size_bytes(mode, n);
+      std::vector<std::uint8_t> enc(enc_bytes);
+      std::vector<Real> expect(len, 0);
+      std::vector<Real> slice(len);
+      for (int r = 0; r < p; ++r) {
+        const std::vector<Real> contrib = wave(n, 100 + r);
+        if (c.coded) {
+          compress_encode(mode, contrib, enc.data(), nullptr);
+          compress_decode_range(mode, enc.data(), n, lo, lo + len,
+                                slice.data());
+        } else {
+          std::copy(contrib.begin() + static_cast<long>(lo),
+                    contrib.begin() + static_cast<long>(lo + len),
+                    slice.begin());
+        }
+        for (std::size_t i = 0; i < len; ++i) expect[i] += slice[i];
+      }
 
-    const std::vector<Real> mine = wave(n, 100 + rank);
-    std::vector<Real> out(len, -1);
-    CompressBuf buf;
-    const CostMeter before = world.meter();
-    world.reduce_scatter_sum_compressed(std::span<const Real>(mine),
-                                        std::span<Real>(out), mode, buf);
-    CostMeter delta = world.meter();
-    delta.subtract(before);
+      const std::vector<Real> mine = wave(n, 100 + rank);
+      std::vector<Real> out(len, -1);
+      CompressBuf buf;
+      const CostMeter before = world.meter();
+      wait_and_release(world, world.ireduce_scatter_sum(
+                                  std::span<const Real>(mine),
+                                  std::span<Real>(out), CommCategory::kDense,
+                                  Codec{mode, &buf}));
+      CostMeter delta = world.meter();
+      delta.subtract(before);
 
-    EXPECT_EQ(out, expect);
-    const double gathered =
-        static_cast<double>(p) * (sizeof(std::uint64_t) + enc_bytes);
-    EXPECT_DOUBLE_EQ(delta.words(CommCategory::kCompressed),
-                     gathered * (p - 1) / p / sizeof(Real));
-    EXPECT_DOUBLE_EQ(delta.latency_units(CommCategory::kCompressed),
-                     ceil_log2(p));
-  });
-}
-
-TEST(CompressedCollectives, NonblockingMatchesBlockingBitwise) {
-  const std::size_t n = 777;
-  const int p = 4;
-  run_world(p, [&](Comm& world) {
-    const CompressMode mode = CompressMode::kInt8;
-    std::vector<Real> blocking = wave(n, world.rank());
-    CompressBuf buf_b;
-    const CostMeter before_b = world.meter();
-    world.allreduce_sum_compressed(std::span<Real>(blocking), mode, buf_b);
-    CostMeter delta_b = world.meter();
-    delta_b.subtract(before_b);
-
-    const std::vector<Real> contrib = wave(n, world.rank());
-    std::vector<Real> out(n, 0);
-    CompressBuf buf_n;
-    const CostMeter before_n = world.meter();
-    PendingCompressedReduce op = world.iallreduce_sum_compressed(
-        std::span<const Real>(contrib), std::span<Real>(out), mode, buf_n);
-    EXPECT_TRUE(op.pending());
-    op.wait();
-    world.quiesce();  // release the peers' reads of buf_n.send
-    CostMeter delta_n = world.meter();
-    delta_n.subtract(before_n);
-
-    EXPECT_EQ(out, blocking);
-    EXPECT_DOUBLE_EQ(delta_n.words(CommCategory::kCompressed),
-                     delta_b.words(CommCategory::kCompressed));
-    EXPECT_DOUBLE_EQ(delta_n.latency_units(CommCategory::kCompressed),
-                     delta_b.latency_units(CommCategory::kCompressed));
-  });
+      EXPECT_EQ(out, expect) << compress_mode_name(mode) << " P=" << p;
+      if (c.coded) {
+        const double gathered =
+            static_cast<double>(p) * (sizeof(std::uint64_t) + enc_bytes);
+        EXPECT_DOUBLE_EQ(delta.words(CommCategory::kCompressed),
+                         gathered * (p - 1) / p / sizeof(Real));
+        EXPECT_DOUBLE_EQ(delta.latency_units(CommCategory::kCompressed),
+                         ceil_log2(p));
+        EXPECT_EQ(delta.words(CommCategory::kDense), 0.0);
+      } else {
+        const auto exact_bytes = n * sizeof(Real) *
+                                 static_cast<std::size_t>(p - 1) /
+                                 static_cast<std::size_t>(p);
+        EXPECT_DOUBLE_EQ(delta.words(CommCategory::kDense),
+                         static_cast<double>(exact_bytes) / sizeof(Real));
+        EXPECT_DOUBLE_EQ(delta.latency_units(CommCategory::kDense),
+                         ceil_log2(p));
+        EXPECT_EQ(delta.words(CommCategory::kCompressed), 0.0);
+        EXPECT_EQ(delta.latency_units(CommCategory::kCompressed), 0.0);
+        EXPECT_TRUE(buf.send.empty());  // nothing was encoded
+      }
+    });
+  }
 }
 
 TEST(CompressedCollectives, SingleRankIsExactAndFree) {
   const std::size_t n = 333;
   run_world(1, [&](Comm& world) {
     const std::vector<Real> src = wave(n, 21);
-    std::vector<Real> data = src;
+    std::vector<Real> data(n, -1);
     CompressBuf buf;
     const CostMeter before = world.meter();
-    world.allreduce_sum_compressed(std::span<Real>(data),
-                                   CompressMode::k1Bit, buf);
+    world
+        .iallreduce_sum(std::span<const Real>(src), std::span<Real>(data),
+                        CommCategory::kDense, Codec{CompressMode::k1Bit, &buf})
+        .wait();
     EXPECT_EQ(data, src);  // exact copy, no codec round-trip
 
     std::vector<Real> out(n, -1);
-    PendingCompressedReduce op = world.ireduce_scatter_sum_compressed(
-        std::span<const Real>(src), std::span<Real>(out),
-        CompressMode::kInt8, buf);
-    EXPECT_FALSE(op.pending());  // completed at post time
-    op.wait();                   // idempotent no-op
+    world
+        .ireduce_scatter_sum(std::span<const Real>(src), std::span<Real>(out),
+                             CommCategory::kDense,
+                             Codec{CompressMode::kInt8, &buf})
+        .wait();
     EXPECT_EQ(out, src);
+    EXPECT_TRUE(buf.send.empty());  // the exact op: nothing encoded
 
     CostMeter delta = world.meter();
     delta.subtract(before);
     EXPECT_EQ(delta.words(CommCategory::kCompressed), 0.0);
     EXPECT_EQ(delta.latency_units(CommCategory::kCompressed), 0.0);
+    EXPECT_EQ(delta.words(CommCategory::kDense), 0.0);
+    EXPECT_EQ(delta.latency_units(CommCategory::kDense), 0.0);
   });
 }
 

@@ -304,15 +304,54 @@ TEST(FaultAbort, KillMidSourceDrain) {
   }
 }
 
+TEST(FaultAbort, KillAtSecondPostWaitsOutPeerStillReadingTheFirst) {
+  // Rank 1 completes its first nonblocking op at once (its output chunk
+  // is empty) and is killed posting the second, while rank 0 is still
+  // summing rank 1's 8 MB contribution to the first. The kill unwinds
+  // the frame owning that contribution, so it must first poison the
+  // world and wait out rank 0's read (a use-after-free under ASan/TSan
+  // otherwise); rank 0 then unwinds with a typed peer failure.
+  FaultPlanGuard guard(
+      FaultPlan().kill(1, CommCategory::kDense, FaultSite::kPost, 2));
+  const std::size_t n = std::size_t{1} << 20;
+  try {
+    run_world(2, [n](Comm& comm) {
+      const std::vector<Real> contrib(n, static_cast<Real>(comm.rank() + 1));
+      std::vector<Real> out(comm.rank() == 0 ? n : 0);
+      PendingOp first = comm.ireduce_scatter_sum(
+          std::span<const Real>(contrib), std::span<Real>(out),
+          CommCategory::kDense);
+      first.wait();
+      std::vector<Real> second_out(out.size());
+      PendingOp second = comm.ireduce_scatter_sum(
+          std::span<const Real>(contrib), std::span<Real>(second_out),
+          CommCategory::kDense);
+      second.wait();
+      comm.quiesce();
+    });
+    FAIL() << "injected kill did not abort the world";
+  } catch (const CommAborted& e) {
+    EXPECT_EQ(e.rank(), 1);
+    EXPECT_EQ(e.category(), CommCategory::kDense);
+    EXPECT_EQ(e.site(), FaultSite::kPost);
+    EXPECT_EQ(e.cause(), "injected rank kill");
+  }
+}
+
 TEST(FaultAbort, CompressedCollectiveAborts) {
   FaultPlanGuard guard(
       FaultPlan().kill(1, CommCategory::kCompressed, FaultSite::kWait, 1));
   try {
     run_world(2, [](Comm& comm) {
       std::vector<Real> data(64, static_cast<Real>(comm.rank() + 1) * 0.25);
+      std::vector<Real> out(data.size());
       CompressBuf buf;
-      comm.allreduce_sum_compressed(std::span<Real>(data),
-                                    CompressMode::kInt8, buf);
+      PendingOp op = comm.iallreduce_sum(
+          std::span<const Real>(data), std::span<Real>(out),
+          CommCategory::kDense, Codec{CompressMode::kInt8, &buf});
+      const std::uint64_t ticket = op.ticket();
+      op.wait();
+      comm.quiesce_op(ticket);
     });
     FAIL() << "injected kill did not abort the world";
   } catch (const CommAborted& e) {
